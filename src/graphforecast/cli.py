@@ -312,9 +312,12 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = _build_parser()
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
     # config values become parser defaults so explicit flags always win
-    if "--config" in argv:
-        config = _load_config(argv[argv.index("--config") + 1])
+    if config_path is not None:
+        config = _load_config(config_path)
         for sp in subparsers.values():
             typed = {}
             for action in sp._actions:

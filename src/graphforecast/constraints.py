@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import timeseries
 from .candidates import CandidateEdge, HypotheticalGraph, Provenance
@@ -41,13 +42,16 @@ class ConstraintSystem:
     def n_cols(self) -> int:
         return len(self.candidates)
 
-    def matrix_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_rows, self.n_cols))
-        for j in range(self.n_cols):
-            dense[self.endpoint_rows[j, 0], j] = 1.0
-            dense[self.endpoint_rows[j, 1], j] = 1.0
-        dense[-1, :] = 1.0
-        return dense
+    def matrix(self) -> sparse.csc_array:
+        """M as a sparse (rows, cols) array, the all-ones row included."""
+        C = self.n_cols
+        rows = np.column_stack(
+            [np.sort(self.endpoint_rows, axis=1), np.full(C, self.n_rows - 1)]
+        )
+        return sparse.csc_array(
+            (np.ones(3 * C), rows.ravel(), np.arange(0, 3 * C + 1, 3)),
+            shape=(self.n_rows, C),
+        )
 
     def validate(self) -> None:
         rows, cols = self.n_rows, self.n_cols

@@ -1,4 +1,4 @@
-"""Immutable graph snapshots, growing graph series, and incidence matrices.
+"""Immutable graph snapshots and growing graph series.
 
 Vertices are non-negative integer ids that stay stable across all snapshots
 of a series.  Edges are unordered pairs stored as (min, max) tuples.
@@ -6,7 +6,6 @@ of a series.  Edges are unordered pairs stored as (min, max) tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -202,64 +201,3 @@ def new_vertex_degree_pool(series: GraphSeries, T: int) -> tuple[list[int], floa
             pool.append(g.degree(v))
     mean = float(np.mean(pool)) if pool else 0.0
     return pool, mean
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Sparse vertex-edge incidence structure with optional padding rows.
-
-    Row r < len(row_vertices) belongs to vertex row_vertices[r]; any further
-    rows are all-zero padding.  Column j has 1-entries at the two rows of
-    col_edges[j]'s endpoints.
-    """
-
-    rows: int
-    row_vertices: tuple[int, ...]
-    col_edges: tuple[Edge, ...]
-    endpoint_rows: np.ndarray  # shape (cols, 2) int
-
-    @property
-    def cols(self) -> int:
-        return len(self.col_edges)
-
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros((self.rows, self.cols))
-        for j in range(self.cols):
-            dense[self.endpoint_rows[j, 0], j] = 1.0
-            dense[self.endpoint_rows[j, 1], j] = 1.0
-        return dense
-
-    def row_sums(self) -> np.ndarray:
-        sums = np.zeros(self.rows)
-        for r in self.endpoint_rows.ravel():
-            sums[r] += 1.0
-        return sums
-
-
-def incidence_matrix(
-    graph: Graph, row_count: int, columns: Sequence[Edge] | None = None
-) -> IncidenceMatrix:
-    """Incidence matrix with vertices mapped to rows by ascending id.
-
-    row_count may exceed the vertex count, leaving zero padding rows at the
-    bottom.  Column order defaults to lexicographic over the edge pairs; an
-    explicit ordering of the graph's edges can be supplied instead.
-    """
-    if row_count < graph.vertex_count:
-        raise ValueError(
-            f"row_count {row_count} smaller than vertex count {graph.vertex_count}"
-        )
-    order = tuple(sorted(graph.vertices))
-    row_of = {v: r for r, v in enumerate(order)}
-    if columns is None:
-        cols = tuple(sorted(graph.edges))
-    else:
-        cols = tuple(edge(u, v) for u, v in columns)
-        if set(cols) != set(graph.edges) or len(cols) != len(graph.edges):
-            raise ValueError("explicit column order must list every edge exactly once")
-    endpoint_rows = np.array(
-        [[row_of[u], row_of[v]] for u, v in cols], dtype=np.int64
-    ).reshape(len(cols), 2)
-    return IncidenceMatrix(
-        rows=row_count, row_vertices=order, col_edges=cols, endpoint_rows=endpoint_rows
-    )

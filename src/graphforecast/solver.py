@@ -2,9 +2,11 @@
 
 The problem is  max c.x  subject to  0 <= Mx <= f  and binary x, where every
 column of M has exactly two 1-entries among the vertex rows plus a 1 in the
-final all-ones row.  solve_lp relaxes x to [0, 1] and runs a bounded-variable
-revised simplex; solve_ilp wraps it in depth-first branch and bound;
-brute_force enumerates every subset for verification.
+final all-ones row.  Binary activities are integers, so every solver accepts
+Mx <= f + FEAS_TOL, and solve_lp and solve_ilp work on floor(f + FEAS_TOL).
+solve_lp relaxes x to [0, 1] and solves it with HiGHS's dual simplex
+(scipy.optimize.linprog); solve_ilp wraps the same LP in depth-first branch
+and bound; brute_force enumerates every subset for verification.
 
 Because M is non-negative and the lower row bounds are zero, x = 0 is always
 feasible, so neither solver can fail on feasibility.
@@ -17,17 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .constraints import ConstraintSystem
 
 FEAS_TOL = 1e-6
-PIVOT_TOL = 1e-9
-DUAL_TOL = 1e-9
 INT_TOL = 1e-6
 PRUNE_TOL = 1e-7
 NODE_CAP = 1_000_000
-_REFACTOR_EVERY = 256
-_STALL_LIMIT = 100  # iterations without progress before switching to Bland's rule
 
 
 class LpStatus(enum.Enum):
@@ -59,196 +58,35 @@ def selection_objective(c: np.ndarray, mask: np.ndarray) -> float:
     return float(np.sort(c[mask]).sum())
 
 
-def _activity(eA, eB, n_rows, mask) -> np.ndarray:
-    """Row activity of the selected columns (including the all-ones row)."""
-    act = (
-        np.bincount(eA[mask], minlength=n_rows)
-        + np.bincount(eB[mask], minlength=n_rows)
-    ).astype(float)
-    act[n_rows - 1] = float(np.count_nonzero(mask))
-    return act
-
-
-class _Simplex:
-    """Bounded-variable revised simplex specialised to 3-nonzero columns.
-
-    Variables 0..C-1 are the candidate columns with bounds [0, 1]; variables
-    C..C+R-1 are row slacks with bounds [0, f].  The basis inverse is kept
-    dense and updated in place, with periodic refactorisation.  Dantzig
-    pricing does the bulk of the work; Bland's rule takes over during
-    degenerate stalls to preclude cycling.
-    """
-
-    def __init__(self, eA, eB, n_rows, c, f):
-        self.eA = eA
-        self.eB = eB
-        self.R = n_rows
-        self.C = len(c)
-        self.c = c
-        self.f = f
-        self.N = self.C + self.R
-        self.hi = np.concatenate([np.ones(self.C), f])
-        self.cfull = np.concatenate([c, np.zeros(self.R)])
-
-    def _column(self, var) -> np.ndarray:
-        col = np.zeros(self.R)
-        if var < self.C:
-            col[self.eA[var]] += 1.0
-            col[self.eB[var]] += 1.0
-            col[self.R - 1] += 1.0
-        else:
-            col[var - self.C] = 1.0
-        return col
-
-    def _rebuild(self):
-        """Refactorise the basis inverse and recompute basic values."""
-        B = np.column_stack([self._column(v) for v in self.basis])
-        self.Binv = np.linalg.inv(B)
-        at_hi = self.vstat[: self.C] == 1
-        rhs = self.f - _activity(self.eA, self.eB, self.R, at_hi)
-        slack_hi = self.vstat[self.C :] == 1
-        rhs = rhs - np.where(slack_hi, self.f, 0.0)
-        self.xb = self.Binv @ rhs
-
-    def _crash(self):
-        """Greedy feasible start: take columns by descending weight while they fit.
-
-        Any nonbasic-at-bound assignment with non-negative slack is a valid
-        simplex start; beginning near the optimum saves most iterations.
-        """
-        order = np.lexsort((np.arange(self.C), -self.c))
-        cap = self.f.copy()
-        eA, eB, last = self.eA, self.eB, self.R - 1
-        vstat = self.vstat
-        for j in order:
-            a, b = eA[j], eB[j]
-            if cap[a] >= 1.0 and cap[b] >= 1.0 and cap[last] >= 1.0:
-                vstat[j] = 1
-                cap[a] -= 1.0
-                cap[b] -= 1.0
-                cap[last] -= 1.0
-
-    def solve(self) -> tuple[np.ndarray, float, LpStatus]:
-        self.vstat = np.zeros(self.N, dtype=np.int8)  # 0 at-lo, 1 at-hi, 2 basic
-        self._crash()
-        self.basis = np.arange(self.C, self.N, dtype=np.int64)
-        self.vstat[self.C :] = 2
-        self._rebuild()
-
-        cap = 10 * (self.R + self.C)
-        bland = False
-        stall = 0
-        pivots = 0
-        status = LpStatus.OPTIMAL
-        for _ in range(cap):
-            y = self.cfull[self.basis] @ self.Binv
-            r = np.empty(self.N)
-            r[: self.C] = self.c - (y[self.eA] + y[self.eB] + y[self.R - 1])
-            r[self.C :] = -y
-            improving = np.where(
-                self.vstat == 0, r > DUAL_TOL, np.where(self.vstat == 1, r < -DUAL_TOL, False)
-            )
-            if not improving.any():
-                break
-            if bland:
-                e = int(np.argmax(improving))
-            else:
-                score = np.where(improving, np.abs(r), -1.0)
-                e = int(np.argmax(score))
-
-            if e < self.C:
-                d = (
-                    self.Binv[:, self.eA[e]]
-                    + self.Binv[:, self.eB[e]]
-                    + self.Binv[:, self.R - 1]
-                )
-            else:
-                d = self.Binv[:, e - self.C].copy()
-            s = 1.0 if self.vstat[e] == 0 else -1.0
-            dd = s * d
-
-            lo_b = np.zeros(self.R)
-            hi_b = self.hi[self.basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lim = np.where(
-                    dd > PIVOT_TOL,
-                    (self.xb - lo_b) / np.where(dd > PIVOT_TOL, dd, 1.0),
-                    np.where(
-                        dd < -PIVOT_TOL,
-                        (hi_b - self.xb) / np.where(dd < -PIVOT_TOL, -dd, 1.0),
-                        np.inf,
-                    ),
-                )
-            lim = np.maximum(lim, 0.0)
-            t_bound = self.hi[e]
-            if lim.size:
-                t_basic = lim.min()
-                blockers = np.flatnonzero(lim <= t_basic)
-                lpos = int(blockers[np.argmin(self.basis[blockers])])
-            else:
-                t_basic = np.inf
-                lpos = -1
-            t = min(t_bound, t_basic)
-
-            # Bland's rule engages during degenerate stalls and disengages on
-            # the next strict improvement.  Every Bland episode either proves
-            # optimality or strictly improves onto a basis never seen at a
-            # lower objective, so no basis can repeat forever: cycling is
-            # precluded while Dantzig pricing does the bulk of the work.
-            gain = abs(r[e]) * t
-            if gain > 1e-12:
-                stall = 0
-                bland = False
-            else:
-                stall += 1
-                if stall > _STALL_LIMIT:
-                    bland = True
-
-            if t_bound <= t_basic:
-                self.vstat[e] = 1 - self.vstat[e]
-                self.xb -= s * t_bound * d
-            else:
-                lv = self.basis[lpos]
-                self.xb -= s * t * d
-                self.xb[lpos] = t if s > 0 else self.hi[e] - t
-                self.vstat[lv] = 0 if dd[lpos] > 0 else 1
-                self.basis[lpos] = e
-                self.vstat[e] = 2
-                pivot = d[lpos]
-                self.Binv[lpos, :] /= pivot
-                dcol = d.copy()
-                dcol[lpos] = 0.0
-                self.Binv -= np.outer(dcol, self.Binv[lpos, :])
-                pivots += 1
-                if pivots % _REFACTOR_EVERY == 0:
-                    self._rebuild()
-        else:
-            status = LpStatus.ITERATION_LIMIT
-
-        x = np.zeros(self.C)
-        x[self.vstat[: self.C] == 1] = 1.0
-        basic_cand = self.basis < self.C
-        x[self.basis[basic_cand]] = self.xb[basic_cand]
-        x = np.clip(x, 0.0, 1.0)
-        return x, float(self.c @ x), status
-
-
-def _lp_values(eA, eB, n_rows, c, f) -> tuple[np.ndarray, float, LpStatus]:
+def _lp_values(A, c, f) -> tuple[np.ndarray, float, LpStatus]:
+    """Maximise c.x subject to A x <= f and 0 <= x <= 1 with HiGHS."""
     if len(c) == 0:
         return np.zeros(0), 0.0, LpStatus.OPTIMAL
-    return _Simplex(eA, eB, n_rows, c, f).solve()
+    # the dual simplex ends on a basic solution, which branch and bound relies on
+    res = linprog(-c, A_ub=A, b_ub=f, bounds=(0, 1), method="highs-ds")
+    if res.status == 1:
+        status = LpStatus.ITERATION_LIMIT
+    elif res.status == 0:
+        status = LpStatus.OPTIMAL
+    else:
+        raise RuntimeError(f"HiGHS could not solve the LP: {res.message}")
+    x = np.zeros(len(c)) if res.x is None else np.clip(res.x, 0.0, 1.0)
+    return x, float(c @ x), status
+
+
+def _floored_bounds(cs: ConstraintSystem) -> np.ndarray:
+    """Row bounds as binary selections see them: activities are integers."""
+    return np.floor(cs.upper_bounds.astype(float) + FEAS_TOL)
 
 
 def solve_lp(cs: ConstraintSystem) -> LpSolution:
-    """Optimal basic solution of the LP relaxation (x in [0, 1])."""
+    """Optimal basic solution of the LP relaxation (x in [0, 1]).
+
+    It relaxes the same floored bounds as solve_ilp's root node, so its
+    objective bounds every selection solve_ilp and brute_force can return.
+    """
     cs.validate()
-    x, obj, status = _lp_values(
-        cs.endpoint_rows[:, 0],
-        cs.endpoint_rows[:, 1],
-        cs.n_rows,
-        cs.objective.astype(float),
-        cs.upper_bounds.astype(float),
-    )
+    x, obj, status = _lp_values(cs.matrix(), cs.objective.astype(float), _floored_bounds(cs))
     return LpSolution(values=x, objective=obj, status=status)
 
 
@@ -274,21 +112,26 @@ def _min_improvement(c: np.ndarray) -> float:
 def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
     """Globally optimal binary selection via depth-first branch and bound.
 
-    Branches on the most fractional variable, explores x = 1 first, and
-    prunes nodes whose relaxation bound cannot strictly beat the incumbent,
-    so the first optimum reached in this fixed order is returned.  Node
-    capacities are floored (integer activities cannot exceed floor(f)),
-    which tightens the relaxation without excluding any binary solution.
+    Each node solves its LP relaxation over the free columns (HiGHS dual
+    simplex, a basic solution), branches on the most fractional variable,
+    explores x = 1 first, and prunes nodes whose relaxation bound cannot
+    strictly beat the incumbent, so the first optimum reached in this fixed
+    order is returned.  Bounds are floored onto the objective lattice when
+    the coefficients allow it, and rounding down plus a greedy completion
+    supplies incumbents early.  Node capacities are floored (integer
+    activities cannot exceed floor(f)), which tightens the relaxation
+    without excluding any binary solution.
     """
     cs.validate()
     C = cs.n_cols
     if C == 0:
         return IlpSolution(values=np.zeros(0, dtype=np.int64), objective=0.0, nodes_explored=0)
+    M = cs.matrix()
     eA = cs.endpoint_rows[:, 0]
     eB = cs.endpoint_rows[:, 1]
     R = cs.n_rows
     c = cs.objective.astype(float)
-    f = np.floor(cs.upper_bounds.astype(float) + FEAS_TOL)
+    f = _floored_bounds(cs)
     lattice = _min_improvement(c)
     prune_gap = max(0.999 * lattice, PRUNE_TOL)
 
@@ -301,7 +144,7 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
 
     def greedy_complete(mask: np.ndarray, allowed: np.ndarray) -> np.ndarray:
         """Extend a feasible selection by allowed columns, best weight first."""
-        cap = f - _activity(eA, eB, R, mask)
+        cap = f - M @ mask
         out = mask.copy()
         todo = np.flatnonzero(allowed & ~mask)
         for j in todo[np.lexsort((todo, -c[todo]))]:
@@ -326,7 +169,7 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
         if nodes > NODE_CAP:
             raise RuntimeError(f"branch and bound exceeded {NODE_CAP} nodes")
 
-        f_red = f - _activity(eA, eB, R, fix1)
+        f_red = f - M @ fix1
         if (f_red < -1e-9).any():
             continue
         obj_offset = selection_objective(c, fix1)
@@ -343,7 +186,7 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
                 inc_obj, inc_mask = obj_offset, fix1.copy()
             continue
 
-        x_f, lp_obj, status = _lp_values(eA[free_idx], eB[free_idx], R, c[free_idx], f_red)
+        x_f, lp_obj, status = _lp_values(M[:, free_idx], c[free_idx], f_red)
         if status is LpStatus.ITERATION_LIMIT:
             bound = obj_offset + float(c[free_idx].sum())  # trivial but sound
         else:
@@ -364,7 +207,7 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
         # completion then recovers most of the fractional remainder
         mask = fix1.copy()
         mask[free_idx[x_f > 1.0 - INT_TOL]] = True
-        if (_activity(eA, eB, R, mask) <= f + FEAS_TOL).all():
+        if (M @ mask <= f + FEAS_TOL).all():
             free_mask = np.zeros(C, dtype=bool)
             free_mask[free_idx] = True
             mask = greedy_complete(mask, free_mask)
@@ -402,7 +245,7 @@ def brute_force(cs: ConstraintSystem) -> IlpSolution:
         raise ValueError(f"brute force limited to 25 columns, got {C}")
     if C == 0:
         return IlpSolution(values=np.zeros(0, dtype=np.int64), objective=0.0, nodes_explored=0)
-    dense = cs.matrix_dense()
+    dense = cs.matrix().toarray()
     f = cs.upper_bounds.astype(float)
     c = cs.objective.astype(float)
 

@@ -132,39 +132,6 @@ def _css_rss_py(w, p, q, params):
     return rss
 
 
-def _css_rss_numba(w, p, q, params):
-    n = w.shape[0]
-    c = params[0]
-    e = np.zeros(n)
-    rss = 0.0
-    for t in range(p, n):
-        acc = w[t] - c
-        for i in range(p):
-            acc -= params[1 + i] * w[t - 1 - i]
-        for j in range(q):
-            k = t - 1 - j
-            if k >= 0:
-                acc -= params[1 + p + j] * e[k]
-        e[t] = acc
-        rss += acc * acc
-    return rss
-
-
-try:  # optional JIT of the hot kernel; results match the fallback bit for bit
-    from numba import njit
-
-    _css_rss_jit = njit(cache=True)(_css_rss_numba)
-    _css_rss_jit(np.zeros(4), 1, 1, np.zeros(3))  # compile once at import
-except Exception:  # pragma: no cover - numba is optional
-    _css_rss_jit = None
-
-
-def _css_rss(w_arr, w_list, p, q, params):
-    if _css_rss_jit is not None:
-        return float(_css_rss_jit(w_arr, p, q, params))
-    return _css_rss_py(w_list, p, q, list(params))
-
-
 def _ols_ar_fit(w, p):
     """Least-squares fit of w_t on an intercept and p lags; exact CSS optimum for q=0."""
     n = len(w)
@@ -223,18 +190,15 @@ def _hannan_rissanen_start(w: np.ndarray, p: int, q: int) -> np.ndarray:
     return beta2
 
 
-def _coordinate_search(w_arr, w_list, p, q, params0, rss0):
+def _coordinate_search(w_list, p, q, params0, rss0):
     """Derivative-free coordinate descent with one restart on the CSS objective.
 
     Probes stepping outside the stationary/invertible region are rejected.
     """
     params = np.array(params0, dtype=float)
-    if _css_rss_jit is not None:
-        def evaluate():
-            return float(_css_rss_jit(w_arr, p, q, params))
-    else:
-        def evaluate():
-            return _css_rss_py(w_list, p, q, params.tolist())
+
+    def evaluate():
+        return _css_rss_py(w_list, p, q, params.tolist())
 
     best = rss0
     nparams = len(params0)
@@ -317,13 +281,13 @@ def fit(series: Series, p: int, d: int, q: int) -> ArimaFit:
         if not _in_region(params, p, q):
             w_list = w.tolist()
             params = _project_region(params, p, q)
-            rss0 = _css_rss(w, w_list, p, q, params)
-            params, rss = _coordinate_search(w, w_list, p, q, params, rss0)
+            rss0 = _css_rss_py(w_list, p, q, list(params))
+            params, rss = _coordinate_search(w_list, p, q, params, rss0)
     else:
         params0 = _project_region(_hannan_rissanen_start(w, p, q), p, q)
         w_list = w.tolist()
-        rss0 = _css_rss(w, w_list, p, q, params0)
-        params, rss = _coordinate_search(w, w_list, p, q, params0, rss0)
+        rss0 = _css_rss_py(w_list, p, q, list(params0))
+        params, rss = _coordinate_search(w_list, p, q, params0, rss0)
     n_eff = len(w) - p
     sigma2 = rss / n_eff
     return ArimaFit(

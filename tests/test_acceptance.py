@@ -56,7 +56,7 @@ def test_criterion_1_solver_oracle_equivalence():
         oracle = brute_force(cs)
         assert exact.objective == oracle.objective
         for sol in (exact, oracle):
-            activity = cs.matrix_dense() @ sol.values
+            activity = cs.matrix().toarray() @ sol.values
             assert (activity <= cs.upper_bounds + 1e-6).all()
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

@@ -191,3 +191,10 @@ class TestConfigFile:
         run(["--config", str(cfg), "synth", "--out", str(out2), "--snapshots", "6"])
         events = parse_edgelist(out2)
         assert max(e.t for e in events) == 6  # explicit flag wins
+
+    def test_config_without_value_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "x.txt"), "--config"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()

@@ -5,8 +5,6 @@ from graphforecast.graphs import (
     Graph,
     GraphSeries,
     degree_series,
-    edge,
-    incidence_matrix,
     new_vertex_degree_pool,
     t_new_vertices,
 )
@@ -183,44 +181,3 @@ class TestNewVertexDegreePool:
         pool, mean = new_vertex_degree_pool(GraphSeries([g1, g2, g3, g4]), 4)
         assert sorted(pool) == [2, 3, 4]
         assert mean == 3.0
-
-
-class TestIncidenceMatrix:
-    def test_triangle(self):
-        m = incidence_matrix(triangle(), 3)
-        dense = m.toarray()
-        assert dense.shape == (3, 3)
-        assert np.all(dense.sum(axis=0) == 2)
-        assert np.all(dense.sum(axis=1) == 2)
-
-    def test_padding_rows(self):
-        g = Graph([1, 2], [(1, 2)])
-        m = incidence_matrix(g, 4)
-        dense = m.toarray()
-        assert dense.shape == (4, 1)
-        assert dense[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0]
-
-    def test_path_row_sums(self):
-        g = Graph.from_edges([(0, 1), (1, 2)])
-        m = incidence_matrix(g, 3)
-        assert m.row_sums().tolist() == [1.0, 2.0, 1.0]
-
-    def test_row_count_too_small(self):
-        with pytest.raises(ValueError):
-            incidence_matrix(triangle(), 2)
-
-    def test_handshake_lemma(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            pairs = {
-                edge(int(a), int(b))
-                for a, b in rng.integers(0, n, size=(12, 2))
-                if a != b
-            }
-            g = Graph(range(n), pairs)
-            m = incidence_matrix(g, n)
-            assert m.row_sums().sum() == 2 * g.edge_count
-            for v in g.vertices:
-                row = m.row_vertices.index(v)
-                assert m.row_sums()[row] == g.degree(v)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforecast.constraints import ConstraintSystem
 from graphforecast.solver import (
@@ -30,7 +32,7 @@ def triangle_system(bounds=(1.0, 1.0, 1.0, 3.0), coeffs=(1.0, 1.0, 1.0)):
 
 def enumerate_subsets(cs):
     """Independent oracle: all subsets by ascending mask, plain Python."""
-    dense = cs.matrix_dense()
+    dense = cs.matrix().toarray()
     best = (-1.0, None)
     for mask in range(1 << cs.n_cols):
         x = [(mask >> j) & 1 for j in range(cs.n_cols)]
@@ -66,7 +68,7 @@ class TestSolveLp:
     def test_triangle_fractional_optimum(self):
         # oracle: enumerate basic solutions from active-constraint subsets
         cs = triangle_system()
-        dense = cs.matrix_dense()
+        dense = cs.matrix().toarray()
         rows = [dense[i] for i in range(4)] + [np.eye(3)[i] for i in range(3)]
         rhs = list(cs.upper_bounds) + [1.0, 1.0, 1.0]
         best = 0.0
@@ -97,7 +99,7 @@ class TestSolveLp:
             cs = random_system(rng)
             sol = solve_lp(cs)
             assert (sol.values >= -1e-9).all() and (sol.values <= 1 + 1e-9).all()
-            act = cs.matrix_dense() @ sol.values
+            act = cs.matrix().toarray() @ sol.values
             assert (act <= cs.upper_bounds + 1e-6).all()
             assert (act >= -1e-6).all()
 
@@ -139,7 +141,7 @@ class TestSolveIlp:
             b = brute_force(cs)
             assert a.objective == b.objective
             for sol in (a, b):
-                act = cs.matrix_dense() @ sol.values
+                act = cs.matrix().toarray() @ sol.values
                 assert (act <= cs.upper_bounds + 1e-6).all()
 
     def test_matches_brute_force_on_tie_heavy_systems(self):
@@ -161,7 +163,7 @@ class TestSolveIlp:
             a = solve_ilp(cs)
             b = brute_force(cs)
             assert a.objective == b.objective
-            act = cs.matrix_dense() @ a.values
+            act = cs.matrix().toarray() @ a.values
             assert (act <= cs.upper_bounds + 1e-6).all()
 
     def test_lp_bounds_ilp(self):
@@ -221,3 +223,39 @@ class TestBruteForce:
         cs = make_system(endpoints, [30.0, 30.0, 30.0], [1.0] * 26)
         with pytest.raises(ValueError):
             brute_force(cs)
+
+
+# bounds sit on or right next to integers, where flooring and the feasibility
+# tolerance decide; pairs are drawn independently, so columns repeat often
+BOUNDS = st.one_of(
+    st.just(0.0),
+    st.integers(0, 4).map(float),
+    st.builds(
+        lambda k, eps: max(k + eps, 0.0), st.integers(0, 4), st.sampled_from([-1e-7, 1e-7])
+    ),
+)
+
+
+@st.composite
+def small_systems(draw):
+    nv = draw(st.integers(2, 6))
+    vertex = st.integers(0, nv - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=12))
+    C = len(pairs)
+    coeffs = draw(st.lists(st.sampled_from([1.0, 1e-3, 0.25]), min_size=C, max_size=C))
+    bounds = draw(st.lists(BOUNDS, min_size=nv + 1, max_size=nv + 1))
+    return make_system(pairs, bounds, coeffs, n_vertices=nv)
+
+
+class TestSolverProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(small_systems())
+    def test_ilp_matches_brute_force_within_floored_bounds(self, cs):
+        ilp = solve_ilp(cs)
+        # distinct optima differ by at least 1e-3; the slack only absorbs
+        # float summation order among equal-value selections
+        assert ilp.objective == pytest.approx(brute_force(cs).objective, abs=1e-9)
+        floored = np.floor(cs.upper_bounds + 1e-6)
+        assert (cs.matrix() @ ilp.values <= floored).all()
+        assert set(ilp.values.tolist()) <= {0, 1}
+        assert solve_lp(cs).objective >= ilp.objective - 1e-9
