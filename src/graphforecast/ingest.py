@@ -17,7 +17,9 @@ from .graphs import Graph, GraphSeries, edge
 log = logging.getLogger(__name__)
 
 MALFORMED_FRACTION_LIMIT = 0.01
-MAX_WINDOWS = 29  # enough for T in 15..24 with horizons up to 5
+# A schedule longer than this is taken for a granularity mistake (say ticks:1
+# over Unix timestamps) and refused, rather than built or cut short.
+MAX_WINDOWS = 10_000
 
 _DAY = 86400
 
@@ -119,10 +121,8 @@ def parse_granularity(spec: str) -> int:
     raise ValueError(f"unknown granularity {spec!r}")
 
 
-def boundary_schedule(
-    events: Sequence[EdgeEvent], granularity: str, max_windows: int = MAX_WINDOWS
-) -> list[int]:
-    """End-of-period boundaries from the earliest event, capped at max_windows.
+def boundary_schedule(events: Sequence[EdgeEvent], granularity: str) -> list[int]:
+    """End-of-period boundaries from the earliest event through the latest one.
 
     Calendar granularities align periods to UTC midnight of the first event's
     day; tick granularities use absolute multiples of the tick size.
@@ -132,21 +132,21 @@ def boundary_schedule(
     period = parse_granularity(granularity)
     t_min = min(ev.t for ev in events)
     t_max = max(ev.t for ev in events)
-    if period < 0:  # tick mode
+    if period < 0:  # tick mode: boundaries k * size, the last one >= t_max
         size = -period
-        start = 0
-    else:
+        count = max(1, -(-t_max // size))
+        offset = 0
+    else:  # boundaries start + k * size - 1, the last one >= t_max
         size = period
         start = (t_min // _DAY) * _DAY
-    boundaries = []
-    k = 1
-    while len(boundaries) < max_windows:
-        b = start + k * size - 1 if period > 0 else k * size
-        boundaries.append(b)
-        if b >= t_max:
-            break
-        k += 1
-    return boundaries
+        count = -(-(t_max - start + 1) // size)
+        offset = start - 1
+    if count > MAX_WINDOWS:
+        raise ValueError(
+            f"granularity {granularity!r} splits the events into {count} windows "
+            f"(more than {MAX_WINDOWS}); choose a coarser granularity"
+        )
+    return [offset + k * size for k in range(1, count + 1)]
 
 
 def dump_edgelist(series: GraphSeries, path: str | Path) -> None:

@@ -3,8 +3,18 @@
 Fitting uses conditional sum of squares (CSS) rather than full maximum
 likelihood: at the series lengths seen here (typically 15 points) the two
 agree to well within forecast noise, and CSS needs no state-space machinery.
-Order selection minimises AICc over a fixed (p, d, q) grid.  Predictive
-intervals are the usual Gaussian psi-weight approximation.
+On the d-differenced series w, the CSS residuals of ARIMA(p, d, q) solve one
+banded triangular system, L(theta) e = y - X beta, where y holds w_t for
+t >= p, X the intercept and p lags, and L(theta) = I + sum_j theta_j S^(j+1)
+for the down-shift S (residuals before t = p count as zero, the usual CSS
+conditioning).  The same system gives the residual Jacobian
+-L^-1 [X, S e, ..., S^q e] (Box, Jenkins & Reinsel, Time Series Analysis,
+section 7.2), so each (p, d, q) cell is fitted by Levenberg-Marquardt from a
+Hannan-Rissanen start, with every step kept inside the stationary and
+invertible region sum|phi| <= 0.99, sum|theta| <= 0.99.  Pure AR cells whose
+least-squares fit lies in that region take it as is.  Order selection
+minimises AICc over a fixed (p, d, q) grid.  Predictive intervals are the
+usual Gaussian psi-weight approximation.
 """
 
 from __future__ import annotations
@@ -14,19 +24,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 from scipy.stats import norm
 
 MAX_P = 5
 MAX_D = 2
 MAX_Q = 5
 
-# coordinate-search settings for the CSS optimiser
-_SWEEP_CAP = 500
-_RSS_TOL = 1e-8
 # sum(|phi|) and sum(|theta|) are kept below this: a sufficient condition for
 # stationarity and invertibility, without which CSS happily fits explosive or
 # non-invertible coefficients that forecast nonsense
 _REGION_LIMIT = 0.99
+_REGION_INNER = _REGION_LIMIT * (1.0 - 1e-12)
+
+# Levenberg-Marquardt settings for the CSS fit of one (p, d, q) cell
+_MAX_ITER = 500  # trial steps, accepted or rejected, before the cell is given up
+_RSS_TOL = 1e-8
+_DAMPING_START = 1e-3
+_DAMPING_MAX = 1e10  # no damped step lowers the RSS: a minimum, or one on the region's edge
 
 
 @dataclass(frozen=True)
@@ -109,43 +124,25 @@ def difference(series: Series, d: int) -> Series:
     return Series(tuple(vals), series.origin_index + d)
 
 
-def _css_rss_py(w, p, q, params):
-    """Conditional sum of squared one-step residuals (pure-Python kernel).
-
-    Residuals are accumulated for t >= p with unavailable lagged residuals
-    taken as zero (the standard CSS conditioning).
-    """
+def _regressors(w: np.ndarray, p: int) -> np.ndarray:
+    """The CSS equations of w as columns [y, 1, w_{t-1}, ..., w_{t-p}] over t = p..n-1."""
     n = len(w)
-    c = params[0]
-    e = [0.0] * n
-    rss = 0.0
-    for t in range(p, n):
-        acc = w[t] - c
-        for i in range(p):
-            acc -= params[1 + i] * w[t - 1 - i]
-        for j in range(q):
-            k = t - 1 - j
-            if k >= 0:
-                acc -= params[1 + p + j] * e[k]
-        e[t] = acc
-        rss += acc * acc
-    return rss
+    yX = np.ones((n - p, 2 + p))
+    yX[:, 0] = w[p:]
+    for i in range(p):
+        yX[:, 2 + i] = w[p - 1 - i : n - 1 - i]
+    return yX
 
 
 def _ols_ar_fit(w, p):
     """Least-squares fit of w_t on an intercept and p lags; exact CSS optimum for q=0."""
-    n = len(w)
     if p == 0:
         c = float(np.mean(w))
         resid = w - c
         return np.array([c]), float(resid @ resid)
-    y = w[p:]
-    cols = [np.ones(n - p)]
-    for i in range(p):
-        cols.append(w[p - 1 - i : n - 1 - i])
-    X = np.column_stack(cols)
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
+    yX = _regressors(w, p)
+    beta, *_ = np.linalg.lstsq(yX[:, 1:], yX[:, 0], rcond=None)
+    resid = yX[:, 0] - yX[:, 1:] @ beta
     return beta, float(resid @ resid)
 
 
@@ -173,9 +170,9 @@ def _hannan_rissanen_start(w: np.ndarray, p: int, q: int) -> np.ndarray:
     n = len(w)
     L = min(max(p + q, 2), max((n - 1) // 2, 1))
     beta, _ = _ols_ar_fit(w, L)
+    yX = _regressors(w, L)
     e = np.zeros(n)
-    for t in range(L, n):
-        e[t] = w[t] - beta[0] - sum(beta[1 + i] * w[t - 1 - i] for i in range(L))
+    e[L:] = yX[:, 0] - yX[:, 1:] @ beta
     m = max(p, q) + L
     if n - m < p + q + 2:
         return np.concatenate([_ols_ar_fit(w, p)[0], np.zeros(q)])
@@ -190,67 +187,125 @@ def _hannan_rissanen_start(w: np.ndarray, p: int, q: int) -> np.ndarray:
     return beta2
 
 
-def _coordinate_search(w_list, p, q, params0, rss0):
-    """Derivative-free coordinate descent with one restart on the CSS objective.
+def _css_residuals(yX: np.ndarray, params: np.ndarray, q: int):
+    """CSS residuals e = L(theta)^-1 (y - X beta) of one parameter vector.
 
-    Probes stepping outside the stationary/invertible region are rejected.
+    params is (intercept, phi..., theta...); L(theta) = I + sum_j theta_j S^(j+1)
+    for the down-shift S.  Returns e with L and L^-1 X, which the Jacobian reuses.
     """
-    params = np.array(params0, dtype=float)
+    k = yX.shape[1] - 1
+    if q:
+        L = np.eye(len(yX))
+        for j in range(q):
+            np.fill_diagonal(L[j + 1 :], params[k + j])
+        # BLAS trsm rather than scipy.linalg.solve_triangular, whose LAPACK trtrs
+        # OpenBLAS threads even at this size: on a 2-core host with the other
+        # core busy a 14 x 14 solve took 2.5 ms that way and 3 us this way
+        Z = dtrsm(1.0, L, yX, lower=1, diag=1)
+    else:
+        L, Z = None, yX
+    return Z[:, 0] - Z[:, 1:] @ params[:k], L, Z[:, 1:]
 
-    def evaluate():
-        return _css_rss_py(w_list, p, q, params.tolist())
 
-    best = rss0
-    nparams = len(params0)
-    # |sum of the other coefficients in the same AR/MA block|, per coordinate;
-    # lets the region check be a single float comparison per probe
-    def block_of(ci):
-        if 1 <= ci <= p:
-            return 1, 1 + p
-        if ci > p:
-            return 1 + p, 1 + p + q
-        return None
+def _css_jacobian(e: np.ndarray, L, LinvX: np.ndarray, q: int) -> np.ndarray:
+    """Residual Jacobian -L^-1 [X, S e, ..., S^q e] in (intercept, phi, theta).
 
-    for phase in range(2):  # second pass restarts the step sizes
-        steps = [0.1 if phase == 0 else 0.05] * nparams
-        for _ in range(_SWEEP_CAP):
-            sweep_start = best
-            for ci in range(nparams):
-                blk = block_of(ci)
-                if blk is None:
-                    headroom = math.inf
-                else:
-                    lo, hi = blk
-                    others = sum(abs(float(params[v])) for v in range(lo, hi) if v != ci)
-                    headroom = _REGION_LIMIT - others
-                step = steps[ci]
-                old = float(params[ci])
-                moved = False
-                for direction in (1.0, -1.0):
-                    for _ in range(30):  # doubling chain per visit
-                        cand = old + direction * step
-                        if abs(cand) > headroom:
-                            break
-                        params[ci] = cand
-                        rss = evaluate()
-                        if rss < best - 1e-15:
-                            best = rss
-                            old = cand
-                            moved = True
-                            step = min(step * 2.0, 1e3)
-                        else:
-                            params[ci] = old
-                            break
-                    if moved:
-                        break
-                steps[ci] = max(step * 0.5, 1e-10)
-            # tolerance scales with the RSS magnitude so large-count series
-            # stop once further gains are forecast-irrelevant
-            if sweep_start - best < _RSS_TOL * (1.0 + best):
-                break
+    L^-1 is a polynomial in S and commutes with it, so the theta columns are
+    shifts of the one solve L^-1 e.
+    """
+    m, k = LinvX.shape
+    J = np.zeros((m, k + q))
+    J[:, :k] = -LinvX
+    if q:
+        u = dtrsm(1.0, L, e[:, None], lower=1, diag=1)[:, 0]
+        for j in range(q):
+            J[j + 1 :, k + j] = -u[: m - 1 - j]
+    return J
+
+
+def _step_limit(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest t in [0, 1] that keeps sum|x + t dx| within the region.
+
+    The limit sits a hair inside _REGION_LIMIT, so rounding never leaves the
+    region, or at sum|x| if x is already past it by rounding.
+    sum|x + t dx| is convex and piecewise linear in t, with a breakpoint
+    wherever a coordinate crosses zero; the crossing of the limit is
+    interpolated on the first segment that ends above it.
+    """
+    t0, f0 = 0.0, float(np.abs(x).sum())
+    limit = max(_REGION_INNER, f0)
+    if float(np.abs(x + dx).sum()) <= limit:
+        return 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = -x / dx
+    for t1 in np.append(np.sort(roots[(roots > 0.0) & (roots < 1.0)]), 1.0):
+        f1 = float(np.abs(x + t1 * dx).sum())
+        if f1 > limit:
+            break
+        t0, f0 = t1, f1
+    return max(t0 + (limit - f0) * (t1 - t0) / (f1 - f0), 0.0)
+
+
+def _damped_step(M: np.ndarray, g: np.ndarray, params: np.ndarray, blocks) -> np.ndarray:
+    """The step solving M h = -g, shortened to stay in the region.
+
+    A block on its region edge that the step would push further out is held
+    where it is, and the step re-solved for the other parameters.  The step
+    is then scaled by the largest t in (0, 1] that keeps every block inside.
+    """
+    free = np.ones(len(g), dtype=bool)
+    while True:
+        step = np.zeros_like(g)
+        try:
+            step[free] = np.linalg.solve(M if free.all() else M[np.ix_(free, free)], -g[free])
+        except np.linalg.LinAlgError:
+            return step  # rejected like any step that does not lower the RSS
+        limits = [_step_limit(params[b], step[b]) for b in blocks]
+        if all(limits):
+            return min(limits, default=1.0) * step
+        for b, t in zip(blocks, limits):
+            if t == 0.0:
+                free[b] = False
+
+
+def _lm_fit(w: np.ndarray, p: int, q: int, params: np.ndarray):
+    """Levenberg-Marquardt CSS fit of one cell from a start inside the region.
+
+    The damping follows the gain ratio of actual to predicted RSS reduction
+    (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares
+    Problems, 2004, section 3.2).  Stops when an accepted step lowers the RSS
+    by less than _RSS_TOL * (1 + RSS), or when no damping lowers it at all.
+    """
+    yX = _regressors(w, p)
+    blocks = [b for b in (slice(1, 1 + p), slice(1 + p, 1 + p + q)) if b.stop > b.start]
+    e, L, LinvX = _css_residuals(yX, params, q)
+    rss = float(e @ e)
+    damping, growth = _DAMPING_START, 2.0
+    J = None
+    for _ in range(_MAX_ITER):
+        if J is None:
+            J = _css_jacobian(e, L, LinvX, q)
+            A, g = J.T @ J, J.T @ e
+            diag = A.diagonal()
+            scale = np.diag(np.maximum(diag, 1e-12 * diag.max()))
+        h = _damped_step(A + damping * scale, g, params, blocks)
+        e1, L1, LinvX1 = _css_residuals(yX, params + h, q)
+        rss1 = float(e1 @ e1)
+        if rss1 < rss:
+            gain = (rss - rss1) / -(2.0 * (g @ h) + h @ A @ h)
+            done = rss - rss1 < _RSS_TOL * (1.0 + rss1)
+            params, e, L, LinvX, rss = params + h, e1, L1, LinvX1, rss1
+            if done:
+                return params, rss
+            J = None
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            growth = 2.0
         else:
-            raise RuntimeError("CSS optimiser exceeded its sweep cap without converging")
-    return params, best
+            damping *= growth
+            growth *= 2.0
+            if damping > _DAMPING_MAX:
+                return params, rss
+    raise RuntimeError(f"CSS fit did not converge in {_MAX_ITER} Levenberg-Marquardt steps")
 
 
 def _aicc(rss: float, n_eff: int, p: int, q: int) -> float:
@@ -266,7 +321,8 @@ def fit(series: Series, p: int, d: int, q: int) -> ArimaFit:
     """Fit ARIMA(p, d, q) by conditional sum of squares.
 
     Raises ValueError when the series is too short for the requested order
-    and RuntimeError when the optimiser fails to converge (q > 0 only).
+    and RuntimeError when Levenberg-Marquardt has not converged within
+    _MAX_ITER steps (only cells with q > 0, or whose AR fit leaves the region).
     """
     n = len(series)
     if n < p + q + d + 3:
@@ -279,15 +335,9 @@ def fit(series: Series, p: int, d: int, q: int) -> ArimaFit:
     if q == 0:
         params, rss = _ols_ar_fit(w, p)
         if not _in_region(params, p, q):
-            w_list = w.tolist()
-            params = _project_region(params, p, q)
-            rss0 = _css_rss_py(w_list, p, q, list(params))
-            params, rss = _coordinate_search(w_list, p, q, params, rss0)
+            params, rss = _lm_fit(w, p, q, _project_region(params, p, q))
     else:
-        params0 = _project_region(_hannan_rissanen_start(w, p, q), p, q)
-        w_list = w.tolist()
-        rss0 = _css_rss_py(w_list, p, q, list(params0))
-        params, rss = _coordinate_search(w_list, p, q, params0, rss0)
+        params, rss = _lm_fit(w, p, q, _project_region(_hannan_rissanen_start(w, p, q), p, q))
     n_eff = len(w) - p
     sigma2 = rss / n_eff
     return ArimaFit(

@@ -104,10 +104,23 @@ class TestBoundarySchedule:
         events = [EdgeEvent(1, 2, 5), EdgeEvent(2, 3, 250)]
         assert boundary_schedule(events, "ticks:100") == [100, 200, 300]
 
-    def test_window_cap(self):
+    def test_covers_the_full_span(self):
         day = 86400
         events = [EdgeEvent(1, 2, 0), EdgeEvent(2, 3, 500 * day)]
-        assert len(boundary_schedule(events, "daily")) == 29
+        bounds = boundary_schedule(events, "daily")
+        assert len(bounds) == 501
+        assert bounds[-2] < 500 * day <= bounds[-1]
+
+    def test_keeps_every_event_past_29_windows(self):
+        events = [EdgeEvent(i, i + 1, i + 1) for i in range(40)]
+        series = expanding_windows(events, boundary_schedule(events, "ticks:1"))
+        assert len(series) == 40
+        assert series.snapshot(40).edge_count == 40
+
+    def test_refuses_a_runaway_schedule(self):
+        events = [EdgeEvent(1, 2, 1_700_000_000)]
+        with pytest.raises(ValueError, match="coarser granularity"):
+            boundary_schedule(events, "ticks:1")
 
     def test_calendar_alignment(self):
         day = 86400

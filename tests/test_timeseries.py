@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforecast import timeseries as ts
 
@@ -17,6 +19,78 @@ def ar1_series(phi, n, seed, sigma=1.0):
     for t in range(1, n + burn):
         y[t] = phi * y[t - 1] + e[t]
     return y[burn:]
+
+
+def css_rss_reference(w, p, q, params):
+    """The CSS recursion written out term by term, as the oracle for the kernel.
+
+    Residuals are accumulated for t >= p with unavailable lagged residuals
+    taken as zero (the standard CSS conditioning).
+    """
+    n = len(w)
+    c = params[0]
+    e = [0.0] * n
+    rss = 0.0
+    for t in range(p, n):
+        acc = w[t] - c
+        for i in range(p):
+            acc -= params[1 + i] * w[t - 1 - i]
+        for j in range(q):
+            k = t - 1 - j
+            if k >= 0:
+                acc -= params[1 + p + j] * e[k]
+        e[t] = acc
+        rss += acc * acc
+    return rss
+
+
+@st.composite
+def css_problems(draw):
+    """A series of length 6-20 with p, q <= 3 and a parameter vector in the region."""
+    p = draw(st.integers(0, 3))
+    q = draw(st.integers(0, 3))
+    n = draw(st.integers(max(6, p + q + 3), 20))
+    w = draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n))
+    coeff = st.floats(-0.33, 0.33)
+    params = [draw(st.floats(-10, 10))] + draw(st.lists(coeff, min_size=p + q, max_size=p + q))
+    return np.array(w), p, q, np.array(params)
+
+
+@st.composite
+def short_count_cells(draw):
+    """A short integer series and a (p, d, q) cell with q > 0 that fits it."""
+    d = draw(st.integers(0, 2))
+    q = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 3))
+    n = draw(st.integers(max(6, p + q + d + 3), 15))
+    values = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    return ts.Series.from_values(values), p, d, q
+
+
+class TestCssKernel:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(css_problems())
+    def test_rss_matches_recursion(self, problem):
+        w, p, q, params = problem
+        e, _, _ = ts._css_residuals(ts._regressors(w, p), params, q)
+        ref = css_rss_reference(w.tolist(), p, q, params.tolist())
+        assert float(e @ e) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(css_problems())
+    def test_jacobian_matches_central_differences(self, problem):
+        w, p, q, params = problem
+        yX = ts._regressors(w, p)
+        J = ts._css_jacobian(*ts._css_residuals(yX, params, q), q)
+        assert J.shape == (len(w) - p, 1 + p + q)
+        for c in range(len(params)):
+            h = 1e-6 * (1.0 + abs(params[c]))
+            up, down = params.copy(), params.copy()
+            up[c] += h
+            down[c] -= h
+            diff = (ts._css_residuals(yX, up, q)[0] - ts._css_residuals(yX, down, q)[0]) / (2 * h)
+            scale = 1.0 + np.abs(J[:, c]).max()
+            assert np.abs(diff - J[:, c]).max() <= 1e-6 * scale
 
 
 class TestSeries:
@@ -81,6 +155,30 @@ class TestFit:
     def test_insufficient_data(self):
         with pytest.raises(ValueError):
             ts.fit(ts.Series.from_values([1, 2, 3]), 2, 1, 2)
+
+
+class TestFitRegion:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(short_count_cells())
+    def test_stays_in_region_and_improves_on_its_start(self, cell):
+        series, p, d, q = cell
+        fit = ts.fit(series, p, d, q)
+        assert sum(abs(v) for v in fit.ar_coeffs) <= 0.99
+        assert sum(abs(v) for v in fit.ma_coeffs) <= 0.99
+        w = np.asarray(ts.difference(series, d).values)
+        start = ts._project_region(ts._hannan_rissanen_start(w, p, q), p, q)
+        start_rss = css_rss_reference(w.tolist(), p, q, start.tolist())
+        assert fit.sigma2 * (len(w) - p) <= start_rss * (1 + 1e-12) + 1e-12
+
+    def test_converges_on_a_hard_benchmark_cell(self):
+        # ARIMA(3,0,4) on a degree series of the predict-pa benchmark input
+        # (seed 1, round 0), a cell on which derivative-free coordinate
+        # descent runs out of sweeps without converging
+        series = ts.Series.from_values([3, 4, 4, 5, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7])
+        fit = ts.fit(series, 3, 0, 4)
+        assert sum(abs(v) for v in fit.ar_coeffs) <= 0.99
+        assert sum(abs(v) for v in fit.ma_coeffs) <= 0.99
+        assert math.isfinite(fit.aicc)
 
 
 class TestAutoFit:
@@ -202,6 +300,18 @@ class TestQuantile:
         assert all(v < vals[-1] for v in vals[:-1])
         flat = [ts.quantile(fc, 2, q) for q in qs]
         assert len(set(flat)) == 1
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.floats(-1e6, 1e6),
+        st.floats(0, 1e6),
+        st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), min_size=2, max_size=8),
+    )
+    def test_monotone_in_q_for_any_mean_and_spread(self, mean, se, levels):
+        fc = ts.Forecast((mean,), (se,))
+        levels = sorted(levels)
+        vals = [ts.quantile(fc, 1, q) for q in levels]
+        assert vals == sorted(vals)
 
     def test_out_of_range(self):
         fc = ts.Forecast((1.0,), (1.0,))
