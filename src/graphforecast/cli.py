@@ -315,19 +315,24 @@ def main(argv: list[str] | None = None) -> int:
     pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
     pre.add_argument("--config")
     config_path = pre.parse_known_args(argv)[0].config
-    # config values become parser defaults so explicit flags always win
-    if config_path is not None:
-        config = _load_config(config_path)
-        for sp in subparsers.values():
-            typed = {}
-            for action in sp._actions:
-                if action.dest in config:
-                    raw = config[action.dest]
-                    typed[action.dest] = action.type(raw) if action.type else raw
-            sp.set_defaults(**typed)
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    return _COMMANDS[args.command](args)
+    try:
+        # config values become parser defaults so explicit flags always win
+        if config_path is not None:
+            config = _load_config(config_path)
+            for sp in subparsers.values():
+                typed = {}
+                for action in sp._actions:
+                    if action.dest in config:
+                        raw = config[action.dest]
+                        typed[action.dest] = action.type(raw) if action.type else raw
+                sp.set_defaults(**typed)
+        args = parser.parse_args(argv)
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        # bad input data or config: one line and argparse's usage-error code
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ def predict(series: GraphSeries, params: PredictParams) -> PredictedGraph:
         raise ValueError(f"prediction needs at least 4 snapshots, got {len(series)}")
     H = build_hypothetical(series, params.h, params.gamma, params.k)
     cs = constraints.assemble(series, H, params.h, params.u, params.alpha)
-    lp = solver.solve_lp(cs)
     ilp = solver.solve_ilp(cs)
     edges = [H.candidates[j].pair for j in range(cs.n_cols) if ilp.values[j]]
     vertices = set(H.base.vertices)
@@ -62,11 +61,12 @@ def predict(series: GraphSeries, params: PredictParams) -> PredictedGraph:
         params=params,
         horizon_origin=len(series),
         diagnostics={
-            "lp_objective": lp.objective,
+            "lp_objective": ilp.lp_objective,  # the B&B root relaxation, solve_lp's
             "ilp_objective": ilp.objective,
             "candidate_count": cs.n_cols,
             "n_hat": H.n_hat,
             "nodes_explored": ilp.nodes_explored,
+            "ilp_status": ilp.status,
         },
     )
 

@@ -5,8 +5,9 @@ column of M has exactly two 1-entries among the vertex rows plus a 1 in the
 final all-ones row.  Binary activities are integers, so every solver accepts
 Mx <= f + FEAS_TOL, and solve_lp and solve_ilp work on floor(f + FEAS_TOL).
 solve_lp relaxes x to [0, 1] and solves it with HiGHS's dual simplex
-(scipy.optimize.linprog); solve_ilp wraps the same LP in depth-first branch
-and bound; brute_force enumerates every subset for verification.
+(scipy.optimize.linprog); solve_ilp runs depth-first branch and bound whose
+root node is solve_lp's solution, so a prediction solves the root LP once;
+brute_force enumerates every subset for verification.
 
 Because M is non-negative and the lower row bounds are zero, x = 0 is always
 feasible, so neither solver can fail on feasibility.
@@ -46,6 +47,8 @@ class IlpSolution:
     values: np.ndarray  # 0/1 ints per candidate column
     objective: float
     nodes_explored: int
+    lp_objective: float  # the LP relaxation's optimum, an upper bound on objective
+    status: str  # "optimal", or "node_cap": the best selection found within NODE_CAP nodes
 
 
 def selection_objective(c: np.ndarray, mask: np.ndarray) -> float:
@@ -79,14 +82,27 @@ def _floored_bounds(cs: ConstraintSystem) -> np.ndarray:
     return np.floor(cs.upper_bounds.astype(float) + FEAS_TOL)
 
 
+def _selectable(cs: ConstraintSystem, cap: np.ndarray) -> np.ndarray:
+    """Columns whose tightest row capacity admits them; the rest are 0 in every selection."""
+    e = cs.endpoint_rows
+    colcap = np.minimum(np.minimum(cap[e[:, 0]], cap[e[:, 1]]), cap[-1])
+    return colcap >= 1.0 - INT_TOL
+
+
 def solve_lp(cs: ConstraintSystem) -> LpSolution:
     """Optimal basic solution of the LP relaxation (x in [0, 1]).
 
-    It relaxes the same floored bounds as solve_ilp's root node, so its
+    This is solve_ilp's root node: it relaxes the floored bounds and leaves
+    out (holds at 0) the columns no binary selection can take, so its
     objective bounds every selection solve_ilp and brute_force can return.
     """
     cs.validate()
-    x, obj, status = _lp_values(cs.matrix(), cs.objective.astype(float), _floored_bounds(cs))
+    f = _floored_bounds(cs)
+    c = cs.objective.astype(float)
+    free_idx = np.flatnonzero(_selectable(cs, f))
+    x_f, obj, status = _lp_values(cs.matrix()[:, free_idx], c[free_idx], f)
+    x = np.zeros(cs.n_cols)
+    x[free_idx] = x_f
     return LpSolution(values=x, objective=obj, status=status)
 
 
@@ -120,12 +136,20 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
     the coefficients allow it, and rounding down plus a greedy completion
     supplies incumbents early.  Node capacities are floored (integer
     activities cannot exceed floor(f)), which tightens the relaxation
-    without excluding any binary solution.
+    without excluding any binary solution.  The root relaxation is
+    solve_lp's.  Past NODE_CAP nodes the search stops and returns the
+    incumbent (the empty selection if it has none) with status "node_cap".
     """
-    cs.validate()
+    root = solve_lp(cs)
     C = cs.n_cols
     if C == 0:
-        return IlpSolution(values=np.zeros(0, dtype=np.int64), objective=0.0, nodes_explored=0)
+        return IlpSolution(
+            values=np.zeros(0, dtype=np.int64),
+            objective=0.0,
+            nodes_explored=0,
+            lp_objective=root.objective,
+            status="optimal",
+        )
     M = cs.matrix()
     eA = cs.endpoint_rows[:, 0]
     eB = cs.endpoint_rows[:, 1]
@@ -156,18 +180,20 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
                 cap[R - 1] -= 1.0
         return out
 
-    inc_mask: np.ndarray | None = None
+    inc_mask = np.zeros(C, dtype=bool)  # x = 0 is always feasible
     inc_obj = -np.inf
     nodes = 0
+    status = "optimal"
     stack: list[tuple[np.ndarray, np.ndarray]] = [
         (np.zeros(C, dtype=bool), np.zeros(C, dtype=bool))
     ]
 
     while stack:
+        if nodes == NODE_CAP:
+            status = "node_cap"
+            break
         fix0, fix1 = stack.pop()
         nodes += 1
-        if nodes > NODE_CAP:
-            raise RuntimeError(f"branch and bound exceeded {NODE_CAP} nodes")
 
         f_red = f - M @ fix1
         if (f_red < -1e-9).any():
@@ -176,9 +202,7 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
 
         free = ~fix0 & ~fix1
         if free.any():
-            # a column whose tightest row capacity is below 1 can never be selected
-            colcap = np.minimum(np.minimum(f_red[eA], f_red[eB]), f_red[R - 1])
-            free &= colcap >= 1.0 - INT_TOL
+            free &= _selectable(cs, f_red)
         free_idx = np.flatnonzero(free)
 
         if free_idx.size == 0:
@@ -186,8 +210,11 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
                 inc_obj, inc_mask = obj_offset, fix1.copy()
             continue
 
-        x_f, lp_obj, status = _lp_values(M[:, free_idx], c[free_idx], f_red)
-        if status is LpStatus.ITERATION_LIMIT:
+        if nodes == 1:
+            x_f, lp_obj, lp_status = root.values[free_idx], root.objective, root.status
+        else:
+            x_f, lp_obj, lp_status = _lp_values(M[:, free_idx], c[free_idx], f_red)
+        if lp_status is LpStatus.ITERATION_LIMIT:
             bound = obj_offset + float(c[free_idx].sum())  # trivial but sound
         else:
             bound = tighten(obj_offset + lp_obj)
@@ -225,11 +252,12 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
         child1_f1[j] = True
         stack.append((fix0.copy(), child1_f1))
 
-    assert inc_mask is not None  # x = 0 is always feasible
     return IlpSolution(
         values=inc_mask.astype(np.int64),
-        objective=inc_obj,
+        objective=selection_objective(c, inc_mask),
         nodes_explored=nodes,
+        lp_objective=root.objective,
+        status=status,
     )
 
 
@@ -237,14 +265,13 @@ def brute_force(cs: ConstraintSystem) -> IlpSolution:
     """Exhaustive enumeration oracle; subsets tried in ascending mask order.
 
     Bit j of the mask is column j, so the first best subset found is the
-    lexicographically smallest binary vector among the optima.
+    lexicographically smallest binary vector among the optima.  Its
+    lp_objective is solve_lp's.
     """
     cs.validate()
     C = cs.n_cols
     if C > 25:
         raise ValueError(f"brute force limited to 25 columns, got {C}")
-    if C == 0:
-        return IlpSolution(values=np.zeros(0, dtype=np.int64), objective=0.0, nodes_explored=0)
     dense = cs.matrix().toarray()
     f = cs.upper_bounds.astype(float)
     c = cs.objective.astype(float)
@@ -271,4 +298,6 @@ def brute_force(cs: ConstraintSystem) -> IlpSolution:
         values=sel.astype(np.int64),
         objective=selection_objective(c, sel),
         nodes_explored=total,
+        lp_objective=solve_lp(cs).objective,
+        status="optimal",
     )

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-from scipy.stats import norm
+from scipy.special import ndtri
 
 MAX_P = 5
 MAX_D = 2
@@ -467,7 +467,7 @@ def quantile(forecast_: Forecast, step: int, q: float) -> float:
     se = forecast_.std_errs[step - 1]
     if se == 0.0 or q == 0.5:
         return forecast_.means[step - 1]
-    return forecast_.means[step - 1] + float(norm.ppf(q)) * se
+    return forecast_.means[step - 1] + float(ndtri(q)) * se
 
 
 def forecast_with_fallback(series: Series, h: int) -> Forecast:

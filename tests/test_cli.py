@@ -198,3 +198,38 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "--config" in capsys.readouterr().err
         assert not (tmp_path / "x.txt").exists()
+
+
+class TestBadInput:
+    def test_unix_seconds_with_ticks_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "unix.txt"
+        path.write_text("1 2 1700000000\n2 3 1700000100\n")
+        out = tmp_path / "out.txt"
+        code = main(
+            ["predict", "--input", str(path), "--out", str(out), "--granularity", "ticks:1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphforecast: error: ")
+        assert "coarser granularity" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_malformed_edge_list_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 2 3\nfoo bar\n")
+        code = main(["predict", "--input", str(path), "--out", str(tmp_path / "out.txt")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("graphforecast: error: ")
+        assert "malformed" in err[-1]
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs about half of the start-up time; ndtri suffices
+        probe = "import sys, graphforecast.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], check=True, capture_output=True, text=True
+        )
+        assert out.stdout.strip() == "False"

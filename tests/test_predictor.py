@@ -1,6 +1,6 @@
 import pytest
 
-from graphforecast import constraints
+from graphforecast import constraints, solver
 from graphforecast.candidates import build_hypothetical
 from graphforecast.datagen import PaConfig, pa_sequence, uniform_band_schedule
 from graphforecast.graphs import Graph, GraphSeries
@@ -64,6 +64,21 @@ class TestPredict:
         if cs.n_cols <= 25:
             oracle = brute_force(cs)
             assert result.diagnostics["ilp_objective"] == oracle.objective
+
+    def test_one_node_prediction_solves_one_lp(self, monkeypatch):
+        calls = []
+        lp_values = solver._lp_values
+
+        def counted(*args):
+            calls.append(args)
+            return lp_values(*args)
+
+        monkeypatch.setattr(solver, "_lp_values", counted)
+        g = Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
+        result = predict(GraphSeries([g] * 6), PredictParams())
+        assert result.diagnostics["nodes_explored"] == 1
+        assert result.diagnostics["ilp_status"] == "optimal"
+        assert len(calls) == 1
 
     def test_no_growth_means_no_attachment_edges(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphforecast import solver
 from graphforecast.constraints import ConstraintSystem
 from graphforecast.solver import (
     LpStatus,
@@ -133,6 +134,25 @@ class TestSolveIlp:
         assert sol.objective == 0.0
         assert len(sol.values) == 0
 
+    def test_empty_system_has_zero_lp_objective(self):
+        cs = make_system(np.zeros((0, 2)), [1.0, 1.0, 5.0], [])
+        sol = solve_ilp(cs)
+        assert sol.lp_objective == 0.0
+        assert sol.status == "optimal"
+
+    def test_node_cap_returns_a_feasible_incumbent(self, monkeypatch):
+        # root LP 1.35 against an optimum of 1.0: the search has to branch
+        cs = make_system([[0, 1], [0, 2], [1, 2]], [1, 1, 1, 3], [1.0, 0.9, 0.8])
+        assert solve_ilp(cs).status == "optimal"
+        monkeypatch.setattr(solver, "NODE_CAP", 1)
+        sol = solve_ilp(cs)
+        assert sol.status == "node_cap"
+        assert sol.nodes_explored == 1
+        assert set(sol.values.tolist()) <= {0, 1}
+        assert (cs.matrix() @ sol.values <= cs.upper_bounds).all()
+        assert sol.objective == float(cs.objective @ sol.values)
+        assert sol.objective <= sol.lp_objective
+
     def test_matches_brute_force_on_random_systems(self):
         rng = np.random.default_rng(1234)
         for _ in range(200):
@@ -259,3 +279,10 @@ class TestSolverProperties:
         assert (cs.matrix() @ ilp.values <= floored).all()
         assert set(ilp.values.tolist()) <= {0, 1}
         assert solve_lp(cs).objective >= ilp.objective - 1e-9
+
+    @settings(derandomize=True, deadline=None)
+    @given(small_systems())
+    def test_ilp_root_is_solve_lp(self, cs):
+        ilp = solve_ilp(cs)
+        assert ilp.lp_objective == solve_lp(cs).objective
+        assert ilp.lp_objective >= ilp.objective - 1e-9
