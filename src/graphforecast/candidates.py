@@ -47,7 +47,6 @@ class HypotheticalGraph:
     n_hat: int
     new_vertex_ids: tuple[VertexId, ...]
     candidates: tuple[CandidateEdge, ...]
-    total_vertices: int
 
     @property
     def new_vertex_count(self) -> int:
@@ -135,5 +134,4 @@ def build_hypothetical(
         n_hat=n_hat,
         new_vertex_ids=tuple(range(next_id, next_id + n_new)),
         candidates=tuple(cands),
-        total_vertices=max(g.vertex_count, n_hat),
     )

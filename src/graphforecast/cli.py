@@ -96,7 +96,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     es.add_argument("--experiment", type=int, choices=(1, 2), default=1)
     es.add_argument("--runs", type=int, default=10)
     es.add_argument("--T", type=int, default=15)
-    es.add_argument("--horizons", default="1,2,3,4,5")
+    es.add_argument("--horizons", type=_parse_int_list, default="1,2,3,4,5")
     es.add_argument("--seed", type=int, default=0)
     es.add_argument("--s", type=int, default=evaluate.SYNTH_S)
     es.add_argument("--s0", type=int, default=evaluate.SYNTH_S0)
@@ -109,8 +109,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     er.add_argument("--input", required=True)
     er.add_argument("--out", required=True)
     er.add_argument("--granularity", default="daily")
-    er.add_argument("--Ts", default="15-24")
-    er.add_argument("--horizons", default="1,2,3,4,5")
+    er.add_argument("--Ts", type=_parse_int_list, default="15-24")
+    er.add_argument("--horizons", type=_parse_int_list, default="1,2,3,4,5")
     er.add_argument("--window", type=int, default=15)
     er.add_argument("--dataset", default="")
     add_params(er)
@@ -120,8 +120,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sw.add_argument("--out", required=True)
     sw.add_argument("--granularity", default="ticks:1")
     sw.add_argument("--horizon", type=int, default=1)
-    sw.add_argument("--gammas", default="0.2,0.5,0.8")
-    sw.add_argument("--us", default="0.5,0.8,0.95")
+    sw.add_argument("--gammas", type=_parse_float_list, default="0.2,0.5,0.8")
+    sw.add_argument("--us", type=_parse_float_list, default="0.5,0.8,0.95")
     sw.add_argument("--alpha", type=float, default=1e-3)
     sw.add_argument("--k", type=int, default=10)
     sw.add_argument(
@@ -143,7 +143,7 @@ def _series_from_file(path: str, granularity: str, train_window: int):
     return series
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> dict:
     cfg = PaConfig(
         s=args.s,
         s0=args.s0,
@@ -155,58 +155,30 @@ def _cmd_synth(args) -> int:
     if args.experiment == 2:
         series = delete_edges(series, args.delete_min, args.delete_max, args.seed + 1)
     ingest.dump_edgelist(series, args.out)
-    evaluate.write_run_metadata(
-        args.out,
-        "synth",
-        args.seed,
-        {
-            "snapshots": args.snapshots,
-            "s": args.s,
-            "s0": args.s0,
-            "schedule": [args.base, args.step, args.width],
-            "experiment": args.experiment,
-        },
-    )
     print(f"wrote {len(series)} snapshots to {args.out}")
-    return 0
+    return {}
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> dict:
     series = _series_from_file(args.input, args.granularity, args.train_window)
     params = PredictParams(args.gamma, args.u, args.alpha, args.k, args.horizon)
     result = predict(series, params)
     marker = len(series) + args.horizon
     ingest.dump_graph(result.graph, args.out, marker)
-    evaluate.write_run_metadata(
-        args.out,
-        "predict",
-        None,
-        {
-            "input": str(args.input),
-            "granularity": args.granularity,
-            "gamma": args.gamma,
-            "u": args.u,
-            "alpha": args.alpha,
-            "k": args.k,
-            "horizon": args.horizon,
-            "diagnostics": result.diagnostics,
-        },
-    )
     print(
         f"predicted snapshot {marker}: {result.graph.vertex_count} vertices, "
         f"{result.graph.edge_count} edges -> {args.out}"
     )
-    return 0
+    return {"diagnostics": result.diagnostics}
 
 
-def _cmd_eval_synth(args) -> int:
-    horizons = _parse_int_list(args.horizons)
+def _cmd_eval_synth(args) -> dict:
     params = PredictParams(args.gamma, args.u, args.alpha, args.k, 1)
     reports = evaluate.run_synthetic_experiment(
         args.experiment,
         args.runs,
         args.T,
-        horizons,
+        args.horizons,
         params,
         args.seed,
         s=args.s,
@@ -214,61 +186,25 @@ def _cmd_eval_synth(args) -> int:
         schedule=(args.base, args.step, args.width),
     )
     evaluate.write_reports_csv(reports, args.out, "pa-synthetic", str(args.experiment))
-    evaluate.write_run_metadata(
-        args.out,
-        "eval-synth",
-        args.seed,
-        {
-            "experiment": args.experiment,
-            "runs": args.runs,
-            "T": args.T,
-            "horizons": horizons,
-            "gamma": args.gamma,
-            "u": args.u,
-            "alpha": args.alpha,
-            "k": args.k,
-            "s": args.s,
-            "s0": args.s0,
-            "schedule": [args.base, args.step, args.width],
-        },
-    )
     print(f"wrote {2 * len(reports)} result rows to {args.out}")
-    return 0
+    return {}
 
 
-def _cmd_eval_real(args) -> int:
+def _cmd_eval_real(args) -> dict:
     series = _series_from_file(args.input, args.granularity, 0)
-    Ts = _parse_int_list(args.Ts)
-    horizons = _parse_int_list(args.horizons)
     params = PredictParams(args.gamma, args.u, args.alpha, args.k, 1)
-    reports = evaluate.run_real_experiment(series, Ts, horizons, params, window=args.window)
+    reports = evaluate.run_real_experiment(
+        series, args.Ts, args.horizons, params, window=args.window
+    )
     dataset = args.dataset or Path(args.input).stem
     evaluate.write_reports_csv(reports, args.out, dataset, "real")
-    evaluate.write_run_metadata(
-        args.out,
-        "eval-real",
-        None,
-        {
-            "input": str(args.input),
-            "granularity": args.granularity,
-            "Ts": Ts,
-            "horizons": horizons,
-            "window": args.window,
-            "gamma": args.gamma,
-            "u": args.u,
-            "alpha": args.alpha,
-            "k": args.k,
-        },
-    )
     print(f"wrote {2 * len(reports)} result rows to {args.out}")
-    return 0
+    return {}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     series = _series_from_file(args.input, args.granularity, args.train_window)
-    gammas = _parse_float_list(args.gammas)
-    us = _parse_float_list(args.us)
-    results = predict_distribution(series, gammas, us, args.alpha, args.k, args.horizon)
+    results = predict_distribution(series, args.gammas, args.us, args.alpha, args.k, args.horizon)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "u", "n_hat", "vertex_count", "edge_count"])
@@ -282,23 +218,12 @@ def _cmd_sweep(args) -> int:
                     pg.graph.edge_count,
                 ]
             )
-    evaluate.write_run_metadata(
-        args.out,
-        "sweep",
-        None,
-        {
-            "input": str(args.input),
-            "granularity": args.granularity,
-            "gammas": gammas,
-            "us": us,
-            "alpha": args.alpha,
-            "k": args.k,
-            "horizon": args.horizon,
-        },
-    )
     print(f"wrote {len(results)} sweep rows to {args.out}")
-    return 0
+    return {}
 
+
+# flags the sidecar leaves out of its params: seed has its own field
+_NOT_PARAMS = ("command", "config", "out", "seed")
 
 _COMMANDS = {
     "synth": _cmd_synth,
@@ -328,9 +253,14 @@ def main(argv: list[str] | None = None) -> int:
                 sp.set_defaults(**typed)
         args = parser.parse_args(argv)
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-        return _COMMANDS[args.command](args)
-    except ValueError as exc:
-        # bad input data or config: one line and argparse's usage-error code
+        extra = _COMMANDS[args.command](args)
+        # the sidecar records the parsed flags, plus what the command adds
+        params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+        seed = getattr(args, "seed", None)
+        evaluate.write_run_metadata(args.out, args.command, seed, {**params, **extra})
+        return 0
+    except (ValueError, OSError) as exc:
+        # bad input data or config, or a missing file: one line and argparse's usage-error code
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

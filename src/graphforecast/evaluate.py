@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -99,7 +99,7 @@ def _score(
 ) -> tuple[float, float, float, float]:
     actual = full.snapshot(T + h)
     baseline = train.last
-    predicted = predict(train, PredictParams(params.gamma, params.u, params.alpha, params.k, h))
+    predicted = predict(train, replace(params, h=h))
     return (
         vertex_error(predicted.graph, actual),
         edge_error(predicted.graph, actual),

@@ -132,10 +132,6 @@ class GraphSeries:
         return iter(self._snapshots)
 
     @property
-    def snapshots(self) -> tuple[Graph, ...]:
-        return self._snapshots
-
-    @property
     def first_seen(self) -> dict[int, int]:
         return dict(self._first_seen)
 

@@ -13,8 +13,9 @@ section 7.2), so each (p, d, q) cell is fitted by Levenberg-Marquardt from a
 Hannan-Rissanen start, with every step kept inside the stationary and
 invertible region sum|phi| <= 0.99, sum|theta| <= 0.99.  Pure AR cells whose
 least-squares fit lies in that region take it as is.  Order selection
-minimises AICc over a fixed (p, d, q) grid.  Predictive intervals are the
-usual Gaussian psi-weight approximation.
+minimises AICc over a fixed (p, d, q) grid.  Forecasts continue the ARMA
+recursion from the in-sample residuals of the same CSS kernel, and their
+predictive intervals are the usual Gaussian psi-weight approximation.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -329,9 +331,7 @@ def fit(series: Series, p: int, d: int, q: int) -> ArimaFit:
         raise ValueError(
             f"series of length {n} is too short for ARIMA({p},{d},{q}); need >= {p + q + d + 3}"
         )
-    w = np.asarray(difference(series, d).values, dtype=float) if d else np.asarray(
-        series.values, dtype=float
-    )
+    w = np.asarray(difference(series, d).values, dtype=float)
     if q == 0:
         params, rss = _ols_ar_fit(w, p)
         if not _in_region(params, p, q):
@@ -410,29 +410,19 @@ def _psi_weights(fit_: ArimaFit, h: int) -> np.ndarray:
 
 
 def forecast(fit_: ArimaFit, series: Series, h: int) -> Forecast:
-    """h-step forecast: ARMA recursion on the differenced scale, integrated back."""
+    """h-step forecast: ARMA recursion on the differenced scale, integrated back.
+
+    The in-sample residuals are the fit's CSS residuals, zero before t = p.
+    """
     if h < 1:
         raise ValueError("forecast horizon must be >= 1")
-    levels = [list(series.values)]
-    for _ in range(fit_.d):
-        prev = levels[-1]
-        levels.append([b - a for a, b in zip(prev, prev[1:])])
-    w = levels[-1]
-    n = len(w)
     p, q, c = fit_.p, fit_.q, fit_.intercept
     ar, ma = fit_.ar_coeffs, fit_.ma_coeffs
-    e = [0.0] * n
-    for t in range(p, n):
-        acc = w[t] - c
-        for i in range(p):
-            acc -= ar[i] * w[t - 1 - i]
-        for j in range(q):
-            k = t - 1 - j
-            if k >= 0:
-                acc -= ma[j] * e[k]
-        e[t] = acc
-    wext = list(w)
-    eext = list(e)
+    w = np.asarray(difference(series, fit_.d).values, dtype=float)
+    n = len(w)
+    e = np.zeros(n)
+    e[p:] = _css_residuals(_regressors(w, p), np.array([c, *ar, *ma]), q)[0]
+    wext, eext = w.tolist(), e.tolist()
     for _ in range(h):
         t = len(wext)
         val = c
@@ -446,12 +436,8 @@ def forecast(fit_: ArimaFit, series: Series, h: int) -> Forecast:
         eext.append(0.0)
     fc = wext[n:]
     for level in range(fit_.d - 1, -1, -1):
-        acc = levels[level][-1]
-        integrated = []
-        for v in fc:
-            acc += v
-            integrated.append(acc)
-        fc = integrated
+        # a running sum from the level's last value, added left to right
+        fc = list(accumulate(fc, initial=difference(series, level).values[-1]))[1:]
     psi = _psi_weights(fit_, h)
     variances = fit_.sigma2 * np.cumsum(psi * psi)
     std_errs = np.sqrt(np.maximum(variances, 0.0))

@@ -156,9 +156,9 @@ class TestBuildHypothetical:
         a = build_hypothetical(series, 2, 0.7, 3)
         b = build_hypothetical(series, 2, 0.7, 3)
         assert a.candidates == b.candidates
-        assert a.total_vertices == b.total_vertices
+        assert a.vertex_order == b.vertex_order
 
     def test_total_vertices(self):
         series = self.stable_path_series()
         H = build_hypothetical(series, 1, 0.5, 2)
-        assert H.total_vertices == max(series.last.vertex_count, H.n_hat)
+        assert len(H.vertex_order) == max(series.last.vertex_count, H.n_hat)

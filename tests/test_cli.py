@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from graphforecast.cli import main
+from graphforecast.cli import _build_parser, main
 from graphforecast.ingest import expanding_windows, parse_edgelist
 
 
@@ -223,6 +223,81 @@ class TestBadInput:
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("graphforecast: error: ")
         assert "malformed" in err[-1]
+
+
+    def test_missing_input_is_a_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.txt"
+        out = tmp_path / "out.txt"
+        code = main(["predict", "--input", str(missing), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphforecast: error: ")
+        assert str(missing) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_missing_config_is_a_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        out = tmp_path / "out.txt"
+        code = main(["--config", str(missing), "synth", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphforecast: error: ")
+        assert str(missing) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_in_a_missing_directory_is_a_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "out.txt"
+        code = main(
+            ["synth", "--out", str(out), "--snapshots", "5", "--s", "2", "--s0", "5",
+             "--base", "8", "--step", "2", "--width", "2"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphforecast: error: ")
+        assert str(out) in err
+        assert "Traceback" not in err
+
+
+# one invocation per command; IN and OUT stand for the input and output paths
+SIDECAR_RUNS = {
+    "synth": ["synth", "--out", "OUT", "--snapshots", "6", "--s", "2", "--s0", "5",
+              "--base", "8", "--step", "2", "--width", "2", "--seed", "4"],
+    "predict": ["predict", "--input", "IN", "--out", "OUT", "--k", "3"],
+    "eval-synth": ["eval-synth", "--out", "OUT", "--runs", "1", "--T", "6", "--horizons", "1,2",
+                   "--s", "2", "--s0", "5", "--base", "8", "--step", "2", "--width", "2",
+                   "--k", "3", "--seed", "3"],
+    "eval-real": ["eval-real", "--input", "IN", "--out", "OUT", "--granularity", "ticks:1",
+                  "--Ts", "6-7", "--horizons", "1,2", "--window", "6", "--k", "3"],
+    "sweep": ["sweep", "--input", "IN", "--out", "OUT", "--gammas", "0.3,0.7", "--us", "0.9",
+              "--k", "3"],
+}
+LIST_FLAGS = {
+    "eval-synth": {"horizons": [1, 2]},
+    "eval-real": {"Ts": [6, 7], "horizons": [1, 2]},
+    "sweep": {"gammas": [0.3, 0.7], "us": [0.9]},
+}
+
+
+class TestSidecar:
+    @pytest.mark.parametrize("command", sorted(SIDECAR_RUNS))
+    def test_params_are_the_parsed_flags(self, command, small_edgelist, tmp_path):
+        out = tmp_path / "out.txt"
+        swap = {"IN": str(small_edgelist), "OUT": str(out)}
+        argv = [swap.get(a, a) for a in SIDECAR_RUNS[command]]
+        run(argv)
+        meta = json.loads((tmp_path / "out.txt.meta.json").read_text())
+        flags = vars(_build_parser()[0].parse_args(argv))
+        assert meta["command"] == command
+        assert meta["seed"] == flags.get("seed")
+        params = dict(meta["params"])
+        diagnostics = params.pop("diagnostics", None)
+        assert (diagnostics is not None) == (command == "predict")
+        expected = {k: v for k, v in flags.items() if k not in ("command", "config", "out", "seed")}
+        assert params == expected
+        for name, value in LIST_FLAGS.get(command, {}).items():
+            assert params[name] == value
 
 
 class TestStartup:

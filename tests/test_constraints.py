@@ -107,7 +107,7 @@ class TestAssemble:
         series = constant_series(path_graph([0, 1, 2, 3]))
         H = build_hypothetical(series, 1, 0.5, 2)
         cs = constraints.assemble(series, H, 1, 0.8, 1e-3)
-        assert cs.n_rows == H.total_vertices + 1
+        assert cs.n_rows == len(H.vertex_order) + 1
         assert cs.n_cols == len(H.candidates)
         assert len(cs.upper_bounds) == cs.n_rows
 
@@ -130,7 +130,7 @@ class TestAssemble:
         H = build_hypothetical(series, 1, 0.5, 2)
         cs = constraints.assemble(series, H, 1, 0.8, 1e-3)
         row_of = {v: r for r, v in enumerate(H.vertex_order)}
-        ref = np.zeros((H.total_vertices, len(H.candidates)))
+        ref = np.zeros((len(H.vertex_order), len(H.candidates)))
         for j, c in enumerate(H.candidates):
             for v in c.pair:
                 ref[row_of[v], j] = 1.0

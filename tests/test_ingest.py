@@ -1,10 +1,12 @@
 import io
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from graphforecast import ingest
 from graphforecast.datagen import PaConfig, classic_schedule, pa_sequence
-from graphforecast.graphs import Graph
+from graphforecast.graphs import Graph, GraphSeries
 from graphforecast.ingest import (
     EdgeEvent,
     boundary_schedule,
@@ -133,6 +135,24 @@ class TestBoundarySchedule:
             boundary_schedule([EdgeEvent(1, 2, 1)], "hourly")
 
 
+@st.composite
+def growing_series(draw):
+    """A series whose edge sets only grow, each vertex an edge endpoint.
+
+    An edge list holds edges only, so isolated vertices cannot round-trip,
+    and the last snapshot adds an edge so that it sets the last tick.
+    """
+    pair = st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(lambda uv: uv[0] != uv[1])
+    batches = draw(st.lists(st.lists(pair, min_size=1, max_size=6), min_size=1, max_size=8))
+    snapshots, edges = [], set()
+    for batch in batches:
+        before = len(snapshots[-1].edges) if snapshots else 0
+        edges.update(batch)
+        snapshots.append(Graph.from_edges(edges))
+    assume(len(snapshots[-1].edges) > before)
+    return GraphSeries(snapshots)
+
+
 class TestRoundTrip:
     def test_pa_series_round_trips(self, tmp_path):
         cfg = PaConfig(s=2, s0=5, length=8, schedule=classic_schedule(5), seed=21)
@@ -152,6 +172,20 @@ class TestRoundTrip:
         bounds = boundary_schedule(events, "ticks:1")
         assert bounds == list(range(1, 7))
         assert expanding_windows(events, bounds) == series
+
+    # every example overwrites the same file, so sharing tmp_path is harmless
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=200,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(series=growing_series())
+    def test_any_growing_series_round_trips(self, tmp_path, series):
+        path = tmp_path / "series.txt"
+        dump_edgelist(series, path)
+        events = parse_edgelist(path)
+        assert expanding_windows(events, boundary_schedule(events, "ticks:1")) == series
 
     def test_dump_graph_is_ingestible(self, tmp_path):
         g = Graph.from_edges([(0, 1), (1, 2)])

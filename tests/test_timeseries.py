@@ -44,6 +44,57 @@ def css_rss_reference(w, p, q, params):
     return rss
 
 
+def forecast_reference(fit_, series, h):
+    """The forecast with its CSS residuals and differencing written out in Python.
+
+    Residuals before t = p are zero; the h-step recursion continues from the
+    in-sample residuals, and each differencing level is integrated back by a
+    running sum from its last value.
+    """
+    levels = [list(series.values)]
+    for _ in range(fit_.d):
+        prev = levels[-1]
+        levels.append([b - a for a, b in zip(prev, prev[1:])])
+    w = levels[-1]
+    n = len(w)
+    p, q, c = fit_.p, fit_.q, fit_.intercept
+    ar, ma = fit_.ar_coeffs, fit_.ma_coeffs
+    e = [0.0] * n
+    for t in range(p, n):
+        acc = w[t] - c
+        for i in range(p):
+            acc -= ar[i] * w[t - 1 - i]
+        for j in range(q):
+            k = t - 1 - j
+            if k >= 0:
+                acc -= ma[j] * e[k]
+        e[t] = acc
+    wext = list(w)
+    eext = list(e)
+    for _ in range(h):
+        t = len(wext)
+        val = c
+        for i in range(p):
+            val += ar[i] * wext[t - 1 - i]
+        for j in range(q):
+            k = t - 1 - j
+            if 0 <= k:
+                val += ma[j] * eext[k]
+        wext.append(val)
+        eext.append(0.0)
+    fc = wext[n:]
+    for level in range(fit_.d - 1, -1, -1):
+        acc = levels[level][-1]
+        integrated = []
+        for v in fc:
+            acc += v
+            integrated.append(acc)
+        fc = integrated
+    psi = ts._psi_weights(fit_, h)
+    std_errs = np.sqrt(np.maximum(fit_.sigma2 * np.cumsum(psi * psi), 0.0))
+    return ts.Forecast(tuple(fc), tuple(float(s) for s in std_errs))
+
+
 @st.composite
 def css_problems(draw):
     """A series of length 6-20 with p, q <= 3 and a parameter vector in the region."""
@@ -65,6 +116,29 @@ def short_count_cells(draw):
     n = draw(st.integers(max(6, p + q + d + 3), 15))
     values = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
     return ts.Series.from_values(values), p, d, q
+
+
+@st.composite
+def forecast_problems(draw):
+    """A fit with d <= 2, p, q <= 3 and in-region coefficients, a series for it, and h <= 5."""
+    d = draw(st.integers(0, 2))
+    p = draw(st.integers(0, 3))
+    q = draw(st.integers(0, 3))
+    n = draw(st.integers(p + q + d + 3, 20))
+    values = draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n))
+    coeff = st.floats(-0.33, 0.33)
+    fit = ts.ArimaFit(
+        p=p,
+        d=d,
+        q=q,
+        ar_coeffs=tuple(draw(st.lists(coeff, min_size=p, max_size=p))),
+        ma_coeffs=tuple(draw(st.lists(coeff, min_size=q, max_size=q))),
+        intercept=draw(st.floats(-10, 10)),
+        sigma2=draw(st.floats(0, 100)),
+        aicc=0.0,
+        n_obs=n,
+    )
+    return fit, ts.Series.from_values(values), draw(st.integers(1, 5))
 
 
 class TestCssKernel:
@@ -277,6 +351,15 @@ class TestForecast:
         fit = ts.fit(s, 0, 2, 0)
         fc = ts.forecast(fit, s, 3)
         assert fc.means == pytest.approx([81.0, 100.0, 121.0], abs=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(forecast_problems())
+    def test_matches_the_python_recursion(self, problem):
+        fit, s, h = problem
+        fc = ts.forecast(fit, s, h)
+        ref = forecast_reference(fit, s, h)
+        for got, want in zip(fc.means + fc.std_errs, ref.means + ref.std_errs, strict=True):
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 class TestQuantile:
