@@ -1,10 +1,13 @@
 """Candidate edges for the hypothetical future graph.
 
 Starting from the last observed snapshot, the hypothetical graph adds the
-forecast number of new vertices and three kinds of candidate edges: every
-currently existing edge, edges between existing vertices that share a
-neighbour, and edges attaching each new vertex to the most popular existing
-vertices.  Edges between two new vertices are deliberately not generated.
+forecast number of new vertices (the vertex-count series' gamma bound from
+``timeseries.upper_bound``, rounded half-up) and three kinds of candidate
+edges: every currently existing edge, edges between existing vertices that
+share a neighbour, and edges attaching each new vertex to the most popular
+existing vertices.  Edges between two new vertices are deliberately not
+generated.  ``HypotheticalGraph`` owns the candidate list, whose order is the
+column order of the constraint system, and the row layout ``vertex_order``.
 """
 
 from __future__ import annotations
@@ -61,18 +64,11 @@ class HypotheticalGraph:
 def predict_vertex_count(series: GraphSeries, h: int, gamma: float) -> tuple[int, int]:
     """Forecast the vertex count at T+h and the implied number of new vertices.
 
-    Returns (n_hat, n_new) where n_hat is the gamma-quantile forecast rounded
-    half-up and clamped at 0, and n_new = max(n_hat - n_T, 0).
+    Returns (n_hat, n_new): n_hat is the vertex-count series' gamma bound
+    (``timeseries.upper_bound``) rounded half-up, and n_new = max(n_hat - n_T, 0).
     """
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
-    counts = vertex_count_series(series)
-    fit = timeseries.auto_fit(counts)
-    fc = timeseries.forecast(fit, counts, h)
-    q = timeseries.quantile(fc, h, gamma)
-    n_hat = max(int(math.floor(q + 0.5)), 0)
-    n_new = max(n_hat - series.last.vertex_count, 0)
-    return n_hat, n_new
+    n_hat = int(math.floor(timeseries.upper_bound(vertex_count_series(series), h, gamma) + 0.5))
+    return n_hat, max(n_hat - series.last.vertex_count, 0)
 
 
 @lru_cache(maxsize=16)

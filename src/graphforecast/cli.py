@@ -135,6 +135,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _series_from_file(path: str, granularity: str, train_window: int):
+    if train_window < 0:
+        raise ValueError(f"--train-window must be >= 0, got {train_window}")
     events = ingest.parse_edgelist(path)
     boundaries = ingest.boundary_schedule(events, granularity)
     series = ingest.expanding_windows(events, boundaries)

@@ -1,11 +1,13 @@
 """Assembly of the edge-selection constraint system.
 
 The system bounds the degree of every vertex of the hypothetical graph from
-above by a forecast quantile (existing vertices) or by the historical mean
-degree of newly arriving vertices (hypothetical vertices), and bounds the
-total number of selected edges by a forecast of the edge count.  The matrix
-is the incidence matrix of the candidate graph with an all-ones row appended
-for the total-edge constraint.
+above by the u bound of its degree series (existing vertices) or by the
+historical mean degree of newly arriving vertices (hypothetical vertices),
+and bounds the total number of selected edges by the u bound of the edge-count
+series; every forecast bound is ``timeseries.upper_bound``.  Rows follow
+``HypotheticalGraph.vertex_order`` and columns follow its candidate list.  The
+matrix is the incidence matrix of the candidate graph with an all-ones row
+appended for the total-edge constraint.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from . import timeseries
-from .candidates import CandidateEdge, HypotheticalGraph, Provenance
+from .candidates import HypotheticalGraph, Provenance
 from .graphs import GraphSeries, degree_series, edge_count_series, new_vertex_degree_pool
 
 
@@ -25,14 +27,13 @@ class ConstraintSystem:
     """max objective . x  subject to  0 <= Mx <= upper_bounds, x binary.
 
     M has one row per vertex (two 1-entries per column) plus a final all-ones
-    row; column j corresponds to candidates[j].
+    row; column j corresponds to the hypothetical graph's candidates[j].
     """
 
     row_vertices: tuple[int, ...]
     endpoint_rows: np.ndarray  # (cols, 2) row indices of each candidate's endpoints
     upper_bounds: np.ndarray  # (rows,) with rows = len(row_vertices) + 1
     objective: np.ndarray  # (cols,)
-    candidates: tuple[CandidateEdge, ...]
 
     @property
     def n_rows(self) -> int:
@@ -40,7 +41,7 @@ class ConstraintSystem:
 
     @property
     def n_cols(self) -> int:
-        return len(self.candidates)
+        return len(self.objective)
 
     def matrix(self) -> sparse.csc_array:
         """M as a sparse (rows, cols) array, the all-ones row included."""
@@ -63,50 +64,39 @@ class ConstraintSystem:
             raise ValueError("endpoint rows must index vertex rows only")
         if cols and (self.endpoint_rows[:, 0] == self.endpoint_rows[:, 1]).any():
             raise ValueError("a column must touch two distinct vertex rows")
-        if len(self.objective) != cols:
-            raise ValueError("objective length mismatch")
         if cols and self.objective.min() < 0:
             raise ValueError("objective coefficients must be non-negative")
         if self.upper_bounds.min() < 0:
             raise ValueError("upper bounds must be non-negative")
 
 
-def _bound_from_series(s: timeseries.Series, h: int, u: float) -> float:
-    fc = timeseries.forecast_with_fallback(s, h)
-    return max(timeseries.quantile(fc, h, u), 0.0)
-
-
 def degree_bounds(
     series: GraphSeries, H: HypotheticalGraph, h: int, u: float
 ) -> np.ndarray:
-    """Per-vertex degree upper bounds, ordered to match the row layout.
+    """Per-vertex degree upper bounds in the row layout ``H.vertex_order``.
 
-    Existing vertices get the u-quantile of their h-step degree forecast
-    (clamped at 0); hypothetical vertices get the mean arrival degree of
-    past new vertices.
+    Existing vertices get the u bound of their degree series; hypothetical
+    vertices get the mean arrival degree of past new vertices.
     """
     if not 0.0 < u < 1.0:
         raise ValueError("quantile level u must lie strictly between 0 and 1")
-    bounds = []
-    for v in sorted(H.base.vertices):
-        bounds.append(_bound_from_series(degree_series(series, v), h, u))
-    if H.new_vertex_count:
-        if len(series) >= 2:
-            _, pool_mean = new_vertex_degree_pool(series, len(series))
-        else:
-            pool_mean = 0.0
-        bounds.extend([pool_mean] * H.new_vertex_count)
-    return np.array(bounds, dtype=float)
+    pool_mean = 0.0
+    if H.new_vertex_count and len(series) >= 2:
+        _, pool_mean = new_vertex_degree_pool(series, len(series))
+    return np.array(
+        [
+            timeseries.upper_bound(degree_series(series, v), h, u)
+            if v in H.base.vertices
+            else pool_mean
+            for v in H.vertex_order
+        ],
+        dtype=float,
+    )
 
 
 def total_edge_bound(series: GraphSeries, h: int, u: float) -> float:
-    """u-quantile forecast of the total edge count at T+h, clamped at 0."""
-    if not 0.0 < u < 1.0:
-        raise ValueError("quantile level u must lie strictly between 0 and 1")
-    counts = edge_count_series(series)
-    fit = timeseries.auto_fit(counts)
-    fc = timeseries.forecast(fit, counts, h)
-    return max(timeseries.quantile(fc, h, u), 0.0)
+    """The u bound of the edge-count series at T+h."""
+    return timeseries.upper_bound(edge_count_series(series), h, u)
 
 
 def objective_coeffs(H: HypotheticalGraph, alpha: float) -> np.ndarray:
@@ -135,7 +125,6 @@ def assemble(
         endpoint_rows=endpoint_rows,
         upper_bounds=upper,
         objective=objective_coeffs(H, alpha),
-        candidates=H.candidates,
     )
     cs.validate()
     return cs

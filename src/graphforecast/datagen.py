@@ -33,15 +33,6 @@ def uniform_band_schedule(base: int, step: int, width: int) -> Schedule:
     return draw
 
 
-def classic_schedule(s0: int) -> Schedule:
-    """One vertex per snapshot: n_t = s0 + t."""
-
-    def draw(t: int, rng: np.random.Generator) -> int:
-        return s0 + t
-
-    return draw
-
-
 @dataclass(frozen=True)
 class PaConfig:
     s: int  # edges brought by each new vertex
@@ -99,23 +90,16 @@ def pa_sequence(cfg: PaConfig) -> GraphSeries:
     return GraphSeries(snapshots)
 
 
-def delete_edges(
-    series: GraphSeries,
-    r_min: int,
-    r_max: int,
-    seed: int,
-    persistent: bool = True,
-) -> GraphSeries:
+def delete_edges(series: GraphSeries, r_min: int, r_max: int, seed: int) -> GraphSeries:
     """From each snapshot t >= 2, remove r ~ Uniform{r_min..r_max} random edges.
 
-    With persistent=True (the default) a removed edge stays removed in every
-    later snapshot; otherwise each snapshot's removals are drawn fresh from
-    its own edge set.  Vertices are never removed.
+    A removed edge stays removed in every later snapshot.  Vertices are never
+    removed.
     """
     if not 0 <= r_min <= r_max:
         raise ValueError("need 0 <= r_min <= r_max")
     rng = np.random.default_rng(seed)
-    removed: set[tuple[int, int]] = set()  # stays empty when not persistent
+    removed: set[tuple[int, int]] = set()
     out = [series.snapshot(1)]
     for t in range(2, len(series) + 1):
         g = series.snapshot(t)
@@ -127,8 +111,7 @@ def delete_edges(
         r = int(rng.integers(r_min, r_max + 1))
         picked_idx = rng.choice(len(current), size=r, replace=False) if r else []
         picked = {current[i] for i in picked_idx}
-        if persistent:
-            removed |= picked
+        removed |= picked
         out.append(Graph(g.vertices, set(current) - picked))
     return GraphSeries(out)
 

@@ -128,6 +128,10 @@ def run_synthetic_experiment(
     """
     if experiment not in (1, 2):
         raise ValueError("experiment must be 1 or 2")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
     length = T + max(horizons)
     cells: dict[int, list] = {h: [] for h in horizons}
     for run in range(runs):
@@ -163,6 +167,8 @@ def run_real_experiment(
         raise ValueError(
             f"series has {len(series)} snapshots; need {max(Ts) + max(horizons)}"
         )
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if min(Ts) < window:
         raise ValueError(f"T={min(Ts)} leaves no room for a window of {window}")
     cells: dict[int, list] = {h: [] for h in horizons}

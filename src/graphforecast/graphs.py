@@ -165,15 +165,15 @@ def degree_series(series: GraphSeries, v: VertexId) -> Series:
         raise KeyError(f"vertex {v} never appears in the series")
     t0 = series._first_seen[v]
     values = tuple(float(series.snapshot(t).degree(v)) for t in range(t0, len(series) + 1))
-    return Series(values, origin_index=t0)
+    return Series(values)
 
 
 def vertex_count_series(series: GraphSeries) -> Series:
-    return Series(tuple(float(g.vertex_count) for g in series), origin_index=1)
+    return Series(tuple(float(g.vertex_count) for g in series))
 
 
 def edge_count_series(series: GraphSeries) -> Series:
-    return Series(tuple(float(g.edge_count) for g in series), origin_index=1)
+    return Series(tuple(float(g.edge_count) for g in series))
 
 
 def t_new_vertices(series: GraphSeries, t: int) -> frozenset[int]:

@@ -16,6 +16,8 @@ least-squares fit lies in that region take it as is.  Order selection
 minimises AICc over a fixed (p, d, q) grid.  Forecasts continue the ARMA
 recursion from the in-sample residuals of the same CSS kernel, and their
 predictive intervals are the usual Gaussian psi-weight approximation.
+``upper_bound`` turns a count series into its forecast quantile clamped at
+0, the one form every count forecast of the prediction takes.
 """
 
 from __future__ import annotations
@@ -48,25 +50,22 @@ _DAMPING_MAX = 1e10  # no damped step lowers the RSS: a minimum, or one on the r
 
 @dataclass(frozen=True)
 class Series:
-    """An observed time series with a 1-based time index of its first value."""
+    """An observed time series of finite values."""
 
     values: tuple[float, ...]
-    origin_index: int = 1
 
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("series must be non-empty")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("series values must be finite")
-        if self.origin_index < 1:
-            raise ValueError("origin_index must be >= 1")
 
     def __len__(self) -> int:
         return len(self.values)
 
     @staticmethod
-    def from_values(values, origin_index: int = 1) -> "Series":
-        return Series(tuple(float(v) for v in values), origin_index)
+    def from_values(values) -> "Series":
+        return Series(tuple(float(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ def difference(series: Series, d: int) -> Series:
     vals = list(series.values)
     for _ in range(d):
         vals = [b - a for a, b in zip(vals, vals[1:])]
-    return Series(tuple(vals), series.origin_index + d)
+    return Series(tuple(vals))
 
 
 def _regressors(w: np.ndarray, p: int) -> np.ndarray:
@@ -157,14 +156,6 @@ def _project_region(params: np.ndarray, p: int, q: int) -> np.ndarray:
         if total > _REGION_LIMIT:
             block *= (_REGION_LIMIT * 0.98) / total
     return out
-
-
-def _in_region(params, p, q) -> bool:
-    if p and sum(abs(float(v)) for v in params[1 : 1 + p]) > _REGION_LIMIT:
-        return False
-    if q and sum(abs(float(v)) for v in params[1 + p : 1 + p + q]) > _REGION_LIMIT:
-        return False
-    return True
 
 
 def _hannan_rissanen_start(w: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -334,8 +325,9 @@ def fit(series: Series, p: int, d: int, q: int) -> ArimaFit:
     w = np.asarray(difference(series, d).values, dtype=float)
     if q == 0:
         params, rss = _ols_ar_fit(w, p)
-        if not _in_region(params, p, q):
-            params, rss = _lm_fit(w, p, q, _project_region(params, p, q))
+        start = _project_region(params, p, q)
+        if not np.array_equal(start, params):
+            params, rss = _lm_fit(w, p, q, start)
     else:
         params, rss = _lm_fit(w, p, q, _project_region(_hannan_rissanen_start(w, p, q), p, q))
     n_eff = len(w) - p
@@ -468,3 +460,12 @@ def forecast_with_fallback(series: Series, h: int) -> Forecast:
     vals = np.asarray(series.values, dtype=float)
     sd = float(np.std(vals, ddof=1)) if len(vals) >= 2 else 0.0
     return Forecast((float(vals[-1]),) * h, (sd,) * h)
+
+
+def upper_bound(series: Series, h: int, q: float) -> float:
+    """The q-quantile of the h-step forecast of a count series, clamped at 0.
+
+    It gives n_hat from the vertex count (at gamma) and the LP bounds from the
+    edge count and each existing vertex's degree (at u).
+    """
+    return max(quantile(forecast_with_fallback(series, h), h, q), 0.0)

@@ -13,7 +13,7 @@ from graphforecast import constraints, timeseries as ts
 from graphforecast.candidates import build_hypothetical
 from graphforecast.cli import main as cli_main
 from graphforecast.constraints import ConstraintSystem
-from graphforecast.datagen import PaConfig, classic_schedule, pa_sequence, uniform_band_schedule
+from graphforecast.datagen import PaConfig, pa_sequence, uniform_band_schedule
 from graphforecast.evaluate import run_real_experiment, run_synthetic_experiment
 from graphforecast.graphs import GraphSeries
 from graphforecast.ingest import boundary_schedule, dump_edgelist, expanding_windows, parse_edgelist
@@ -43,7 +43,6 @@ def random_system(rng):
         ).astype(np.int64),
         upper_bounds=rng.uniform(0, 4, n_vertices + 1),
         objective=rng.choice([1.0, 1e-3], cols),
-        candidates=tuple(range(cols)),
     )
 
 
@@ -69,7 +68,6 @@ def test_criterion_2_fractional_gap_witness():
         endpoint_rows=np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64),
         upper_bounds=np.array([1.0, 1.0, 1.0, 3.0]),
         objective=np.array([1.0, 1.0, 1.0]),
-        candidates=(0, 1, 2),
     )
     lp = solve_lp(cs)
     ilp = solve_ilp(cs)
@@ -246,7 +244,7 @@ def test_criterion_8_cli_determinism(tmp_path):
 
 
 def test_criterion_9_round_trip_integrity(tmp_path):
-    cfg = PaConfig(s=3, s0=6, length=10, schedule=classic_schedule(6), seed=5)
+    cfg = PaConfig(s=3, s0=6, length=10, schedule=uniform_band_schedule(6, 1, 1), seed=5)
     series = pa_sequence(cfg)
     path = tmp_path / "roundtrip.txt"
     dump_edgelist(series, path)

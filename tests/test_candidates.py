@@ -1,3 +1,5 @@
+import statistics
+
 import pytest
 
 from graphforecast.candidates import (
@@ -42,6 +44,14 @@ class TestPredictVertexCount:
         n_hat, n_new = predict_vertex_count(series, 1, 0.01)
         assert n_new == max(n_hat - 31, 0)
         assert n_new == 0
+
+    def test_three_snapshots_use_the_fallback(self):
+        # too short for ARIMA: the last count, spread by the sample deviation
+        series = growing_series([3, 4, 6], lambda n: [])
+        assert predict_vertex_count(series, 2, 0.5) == (6, 0)
+        bound = 6 + statistics.NormalDist().inv_cdf(0.9) * statistics.stdev([3, 4, 6])
+        assert bound == pytest.approx(7.96, abs=0.01)  # rounds half-up to 8
+        assert predict_vertex_count(series, 2, 0.9) == (8, 2)
 
 
 class TestHomophilyCandidates:

@@ -259,6 +259,31 @@ class TestBadInput:
         assert str(out) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["predict", "--input", "IN", "--out", "OUT", "--train-window", "-3"],
+             "--train-window must be >= 0"),
+            (["eval-real", "--input", "IN", "--out", "OUT", "--granularity", "ticks:1",
+              "--Ts", "6-7", "--horizons", "1,2", "--window", "0"], "window must be >= 1"),
+            (["eval-synth", "--out", "OUT", "--runs", "0"], "runs must be >= 1"),
+            (["eval-synth", "--out", "OUT", "--runs", "1", "--T", "0"], "T must be >= 1"),
+        ],
+        ids=["train-window", "window", "runs", "T"],
+    )
+    def test_out_of_range_count_is_a_one_line_error(
+        self, small_edgelist, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "out.txt"
+        paths = {"IN": str(small_edgelist), "OUT": str(out)}
+        code = main([paths.get(a, a) for a in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("graphforecast: error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 # one invocation per command; IN and OUT stand for the input and output paths
 SIDECAR_RUNS = {

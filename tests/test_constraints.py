@@ -1,9 +1,21 @@
+import math
+import statistics
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphforecast import constraints
+from graphforecast import constraints, timeseries
 from graphforecast.candidates import build_hypothetical
-from graphforecast.graphs import Graph, GraphSeries
+from graphforecast.graphs import (
+    Graph,
+    GraphSeries,
+    degree_series,
+    edge_count_series,
+    new_vertex_degree_pool,
+    vertex_count_series,
+)
 
 
 def constant_series(graph, length=6):
@@ -84,6 +96,13 @@ class TestTotalEdgeBound:
         series = GraphSeries(snaps)
         assert constraints.total_edge_bound(series, 5, 0.5) == 0.0
 
+    def test_three_snapshots_use_the_fallback(self):
+        # too short for ARIMA: the last count, spread by the sample deviation
+        series = GraphSeries([path_graph(list(range(n))) for n in (3, 4, 6)])
+        spread = statistics.NormalDist().inv_cdf(0.9) * statistics.stdev([2, 3, 5])
+        assert constraints.total_edge_bound(series, 2, 0.5) == 5.0
+        assert constraints.total_edge_bound(series, 2, 0.9) == pytest.approx(5.0 + spread)
+
 
 class TestObjectiveCoeffs:
     def test_mixed_provenance(self):
@@ -158,3 +177,39 @@ class TestAssemble:
         H = build_hypothetical(series, 1, 0.5, 2)
         cs = constraints.assemble(series, H, 1, 0.8, 1e-3)
         assert cs.n_cols == 0
+
+
+@st.composite
+def small_growing_series(draw):
+    """1-7 snapshots whose vertex sets grow by 1-3 per step; edges come and go."""
+    n = draw(st.integers(2, 5))
+    snapshots = []
+    for _ in range(draw(st.integers(1, 7))):
+        n += draw(st.integers(1, 3))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        snapshots.append(Graph(range(n), draw(st.lists(st.sampled_from(pairs), max_size=12))))
+    return GraphSeries(snapshots)
+
+
+class TestRowBounds:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        series=small_growing_series(),
+        h=st.integers(1, 3),
+        gamma=st.floats(0.05, 0.95),
+        u=st.floats(0.05, 0.95),
+    )
+    def test_each_row_is_its_series_bound(self, series, h, gamma, u):
+        H = build_hypothetical(series, h, gamma, 2)
+        cs = constraints.assemble(series, H, h, u, 1e-3)
+        pool_mean = new_vertex_degree_pool(series, len(series))[1] if len(series) >= 2 else 0.0
+        assert cs.row_vertices == H.vertex_order
+        for r, v in enumerate(cs.row_vertices):
+            if v in series.last.vertices:
+                expected = timeseries.upper_bound(degree_series(series, v), h, u)
+            else:
+                expected = pool_mean
+            assert cs.upper_bounds[r] == expected
+        assert cs.upper_bounds[-1] == timeseries.upper_bound(edge_count_series(series), h, u)
+        n_bound = timeseries.upper_bound(vertex_count_series(series), h, gamma)
+        assert H.n_hat == math.floor(n_bound + 0.5)

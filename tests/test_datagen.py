@@ -3,7 +3,6 @@ import pytest
 
 from graphforecast.datagen import (
     PaConfig,
-    classic_schedule,
     delete_edges,
     pa_sequence,
     uniform_band_schedule,
@@ -12,12 +11,15 @@ from graphforecast.graphs import GraphSeries
 
 
 def classic_config(seed=0, s=2, s0=5, length=5):
-    return PaConfig(s=s, s0=s0, length=length, schedule=classic_schedule(s0), seed=seed)
+    # one vertex per snapshot: n_t = s0 + t (a width-1 band draws nothing from the rng)
+    return PaConfig(
+        s=s, s0=s0, length=length, schedule=uniform_band_schedule(s0, 1, 1), seed=seed
+    )
 
 
 class TestPaSequence:
     def test_counts_after_three_additions(self):
-        # classic mode adds one vertex per snapshot: after 3 additions the
+        # one vertex per snapshot: after 3 additions the
         # graph has s0 + 3 vertices and s0 + 3 s edges
         series = pa_sequence(classic_config(length=3))
         g = series.snapshot(3)
@@ -76,11 +78,11 @@ class TestPaSequence:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PaConfig(s=0, s0=5, length=5, schedule=classic_schedule(5), seed=0)
+            PaConfig(s=0, s0=5, length=5, schedule=uniform_band_schedule(5, 1, 1), seed=0)
         with pytest.raises(ValueError):
-            PaConfig(s=6, s0=5, length=5, schedule=classic_schedule(5), seed=0)
+            PaConfig(s=6, s0=5, length=5, schedule=uniform_band_schedule(5, 1, 1), seed=0)
         with pytest.raises(ValueError):
-            PaConfig(s=2, s0=5, length=1, schedule=classic_schedule(5), seed=0)
+            PaConfig(s=2, s0=5, length=1, schedule=uniform_band_schedule(5, 1, 1), seed=0)
 
 
 class TestDeleteEdges:
@@ -106,12 +108,6 @@ class TestDeleteEdges:
         for t in range(1, 9):
             assert deleted.snapshot(t).vertices == series.snapshot(t).vertices
         assert isinstance(deleted, GraphSeries)  # vertex monotonicity revalidated
-
-    def test_non_persistent_mode_deletes_fresh(self):
-        series = pa_sequence(classic_config(seed=7, length=6, s=2, s0=12))
-        fresh = delete_edges(series, 2, 2, seed=5, persistent=False)
-        for t in range(2, 7):
-            assert series.snapshot(t).edge_count - fresh.snapshot(t).edge_count == 2
 
     def test_too_few_edges(self):
         series = pa_sequence(classic_config(seed=8, length=4))

@@ -82,7 +82,6 @@ class TestDegreeSeries:
         series = self.make_series()
         s = degree_series(series, 3)
         assert len(s) == 4
-        assert s.origin_index == 2
 
     def test_full_history(self):
         series = self.make_series()

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from graphforecast import ingest
-from graphforecast.datagen import PaConfig, classic_schedule, pa_sequence
+from graphforecast.datagen import PaConfig, pa_sequence, uniform_band_schedule
 from graphforecast.graphs import Graph, GraphSeries
 from graphforecast.ingest import (
     EdgeEvent,
@@ -155,7 +155,7 @@ def growing_series(draw):
 
 class TestRoundTrip:
     def test_pa_series_round_trips(self, tmp_path):
-        cfg = PaConfig(s=2, s0=5, length=8, schedule=classic_schedule(5), seed=21)
+        cfg = PaConfig(s=2, s0=5, length=8, schedule=uniform_band_schedule(5, 1, 1), seed=21)
         series = pa_sequence(cfg)
         path = tmp_path / "pa.txt"
         dump_edgelist(series, path)
@@ -164,7 +164,7 @@ class TestRoundTrip:
         assert rebuilt == series
 
     def test_boundary_schedule_recovers_ticks(self, tmp_path):
-        cfg = PaConfig(s=2, s0=5, length=6, schedule=classic_schedule(5), seed=2)
+        cfg = PaConfig(s=2, s0=5, length=6, schedule=uniform_band_schedule(5, 1, 1), seed=2)
         series = pa_sequence(cfg)
         path = tmp_path / "pa.txt"
         dump_edgelist(series, path)

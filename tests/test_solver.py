@@ -23,7 +23,6 @@ def make_system(endpoints, bounds, coeffs, n_vertices=None):
         endpoint_rows=endpoints,
         upper_bounds=np.asarray(bounds, dtype=float),
         objective=np.asarray(coeffs, dtype=float),
-        candidates=tuple(range(len(coeffs))),
     )
 
 
@@ -203,7 +202,6 @@ class TestSolveIlp:
                 endpoint_rows=cs.endpoint_rows,
                 upper_bounds=cs.upper_bounds,
                 objective=cs.objective * 7.0,
-                candidates=cs.candidates,
             )
             sol = solve_ilp(scaled)
             assert sol.objective == pytest.approx(7.0 * base.objective, rel=1e-12)

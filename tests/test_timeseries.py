@@ -176,10 +176,6 @@ class TestSeries:
         with pytest.raises(ValueError):
             ts.Series((1.0, math.nan))
 
-    def test_rejects_bad_origin(self):
-        with pytest.raises(ValueError):
-            ts.Series((1.0,), origin_index=0)
-
 
 class TestDifference:
     def test_first_difference_of_ramp(self):
