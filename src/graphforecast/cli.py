@@ -7,8 +7,15 @@ Subcommands:
   eval-real  moving-window evaluation of an ingested edge list
   sweep      prediction-distribution dump over a gamma x u grid
 
+Every flag is declared once, in ``_FLAGS``, with its type, default and help;
+--gamma, --u, --alpha, --k and --horizon take their defaults from
+``PredictParams()``.  Each ``_COMMANDS`` entry names its handler, help line and
+flags; eval-real alone overrides a default (--granularity daily).
+
 Flags may also be supplied through an optional key=value config file
-(``--config``); explicit flags win over config values.
+(``--config``); explicit flags win over config values.  A key must name a
+flag of some command; one file may serve several commands, so each command
+skips the keys it does not take.
 """
 
 from __future__ import annotations
@@ -25,19 +32,64 @@ from .predictor import PredictParams, predict, predict_distribution
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept '1,2,3' or a range '15-24'."""
+    """Accept '1,2,3' or a range '15-24'; an empty list or a repeat is an error."""
     text = text.strip()
     if "-" in text and "," not in text:
         lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(part) for part in text.split(",") if part]
+    if not values:
+        raise ValueError("empty list")
+    if len(set(values)) < len(values):
+        raise ValueError("repeated value")
+    return values
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+    values = [float(part) for part in text.split(",") if part]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
-def _load_config(path: str) -> dict[str, str]:
+_DEFAULT = PredictParams()
+
+# each flag once, as its add_argument keywords; no flag name contains '_', so
+# a config key maps back to its flag by turning '_' into '-'
+_FLAGS: dict[str, dict] = {
+    "input": dict(required=True, help="edge-list file of 'u v t' lines"),
+    "out": dict(required=True, help="output file; <out>.meta.json records the run"),
+    "granularity": dict(default="ticks:1", help="snapshot period: daily|weekly|biweekly|ticks:N"),
+    "train-window": dict(type=int, default=0, help="train on the last N snapshots (0 = all)"),
+    "horizon": dict(type=int, default=_DEFAULT.h, help="forecast horizon h"),
+    "gamma": dict(type=float, default=_DEFAULT.gamma, help="vertex-count quantile"),
+    "u": dict(type=float, default=_DEFAULT.u, help="degree/edge bound quantile"),
+    "alpha": dict(type=float, default=_DEFAULT.alpha, help="new-edge objective weight"),
+    "k": dict(type=int, default=_DEFAULT.k, help="attachment fan-out per new vertex"),
+    "gammas": dict(type=_parse_float_list, default="0.2,0.5,0.8", help="gamma grid"),
+    "us": dict(type=_parse_float_list, default="0.5,0.8,0.95", help="u grid"),
+    "horizons": dict(type=_parse_int_list, default="1,2,3,4,5", help="horizons: '1,2' or '1-5'"),
+    "Ts": dict(type=_parse_int_list, default="15-24", help="training end points T"),
+    "window": dict(type=int, default=15, help="training snapshots per T"),
+    "dataset": dict(default="", help="CSV dataset name (default: the input's stem)"),
+    "experiment": dict(type=int, choices=(1, 2), default=1, help="2 adds edge deletions"),
+    "runs": dict(type=int, default=10, help="generated series to average over"),
+    "T": dict(type=int, default=15, help="training snapshots per run"),
+    "snapshots": dict(type=int, default=20, help="series length"),
+    "s": dict(type=int, default=evaluate.SYNTH_S, help="edges per arriving vertex"),
+    "s0": dict(type=int, default=evaluate.SYNTH_S0, help="seed cycle size"),
+    "base": dict(type=int, default=evaluate.SYNTH_SCHEDULE[0], help="vertex-target base"),
+    "step": dict(type=int, default=evaluate.SYNTH_SCHEDULE[1], help="vertex-target step"),
+    "width": dict(type=int, default=evaluate.SYNTH_SCHEDULE[2], help="vertex-target band"),
+    "delete-min": dict(type=int, default=evaluate.SYNTH_DELETE_RANGE[0], help="fewest deletions"),
+    "delete-max": dict(type=int, default=evaluate.SYNTH_DELETE_RANGE[1], help="most deletions"),
+    "seed": dict(type=int, default=0, help="random seed"),
+}
+
+
+def _load_config(path: str) -> dict:
+    """The key=value lines of a config file, each value parsed by its flag's type."""
     values = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
@@ -45,8 +97,17 @@ def _load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"config line without '=': {line!r}")
-        key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        spec = _FLAGS.get(key.replace("_", "-"))
+        if spec is None:
+            raise ValueError(f"config key {key!r} is not a flag of any command")
+        try:
+            value = spec.get("type", str)(val)
+            if "choices" in spec and value not in spec["choices"]:
+                raise ValueError(f"not one of {spec['choices']}")
+        except ValueError as exc:
+            raise ValueError(f"config {key}={val!r}: {exc}") from None
+        values[key.replace("-", "_")] = value
     return values
 
 
@@ -58,79 +119,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parser.add_argument("--config", help="key=value file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
-
-    def add_params(p):
-        p.add_argument("--gamma", type=float, default=0.5, help="vertex-count quantile")
-        p.add_argument("--u", type=float, default=0.8, help="degree/edge bound quantile")
-        p.add_argument("--alpha", type=float, default=1e-3, help="new-edge objective weight")
-        p.add_argument("--k", type=int, default=10, help="attachment fan-out per new vertex")
-
-    synth = sub.add_parser("synth", help="generate a synthetic edge-list file")
-    synth.add_argument("--out", required=True)
-    synth.add_argument("--snapshots", type=int, default=20)
-    synth.add_argument("--s", type=int, default=evaluate.SYNTH_S)
-    synth.add_argument("--s0", type=int, default=evaluate.SYNTH_S0)
-    synth.add_argument("--base", type=int, default=evaluate.SYNTH_SCHEDULE[0])
-    synth.add_argument("--step", type=int, default=evaluate.SYNTH_SCHEDULE[1])
-    synth.add_argument("--width", type=int, default=evaluate.SYNTH_SCHEDULE[2])
-    synth.add_argument("--experiment", type=int, choices=(1, 2), default=1)
-    synth.add_argument("--delete-min", type=int, default=evaluate.SYNTH_DELETE_RANGE[0])
-    synth.add_argument("--delete-max", type=int, default=evaluate.SYNTH_DELETE_RANGE[1])
-    synth.add_argument("--seed", type=int, default=0)
-
-    pred = sub.add_parser("predict", help="predict T+h from an edge-list file")
-    pred.add_argument("--input", required=True)
-    pred.add_argument("--out", required=True)
-    pred.add_argument("--granularity", default="ticks:1")
-    pred.add_argument("--horizon", type=int, default=1)
-    pred.add_argument(
-        "--train-window",
-        type=int,
-        default=0,
-        help="train on the last N snapshots only (0 = all available)",
-    )
-    add_params(pred)
-
-    es = sub.add_parser("eval-synth", help="synthetic-protocol evaluation")
-    es.add_argument("--out", required=True)
-    es.add_argument("--experiment", type=int, choices=(1, 2), default=1)
-    es.add_argument("--runs", type=int, default=10)
-    es.add_argument("--T", type=int, default=15)
-    es.add_argument("--horizons", type=_parse_int_list, default="1,2,3,4,5")
-    es.add_argument("--seed", type=int, default=0)
-    es.add_argument("--s", type=int, default=evaluate.SYNTH_S)
-    es.add_argument("--s0", type=int, default=evaluate.SYNTH_S0)
-    es.add_argument("--base", type=int, default=evaluate.SYNTH_SCHEDULE[0])
-    es.add_argument("--step", type=int, default=evaluate.SYNTH_SCHEDULE[1])
-    es.add_argument("--width", type=int, default=evaluate.SYNTH_SCHEDULE[2])
-    add_params(es)
-
-    er = sub.add_parser("eval-real", help="moving-window evaluation of an edge list")
-    er.add_argument("--input", required=True)
-    er.add_argument("--out", required=True)
-    er.add_argument("--granularity", default="daily")
-    er.add_argument("--Ts", type=_parse_int_list, default="15-24")
-    er.add_argument("--horizons", type=_parse_int_list, default="1,2,3,4,5")
-    er.add_argument("--window", type=int, default=15)
-    er.add_argument("--dataset", default="")
-    add_params(er)
-
-    sw = sub.add_parser("sweep", help="gamma x u prediction-distribution dump")
-    sw.add_argument("--input", required=True)
-    sw.add_argument("--out", required=True)
-    sw.add_argument("--granularity", default="ticks:1")
-    sw.add_argument("--horizon", type=int, default=1)
-    sw.add_argument("--gammas", type=_parse_float_list, default="0.2,0.5,0.8")
-    sw.add_argument("--us", type=_parse_float_list, default="0.5,0.8,0.95")
-    sw.add_argument("--alpha", type=float, default=1e-3)
-    sw.add_argument("--k", type=int, default=10)
-    sw.add_argument(
-        "--train-window", type=int, default=0, help="0 = all available snapshots"
-    )
-
-    subparsers.update(
-        {"synth": synth, "predict": pred, "eval-synth": es, "eval-real": er, "sweep": sw}
-    )
+    # one add_argument per flag and subcommand: parent parsers would share Action
+    # objects, so one command's set_defaults would move every sharer's default
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        sp = subparsers[name] = sub.add_parser(name, help=help_line)
+        for flag in flags.split():
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+    subparsers["eval-real"].set_defaults(granularity="daily")
     return parser, subparsers
 
 
@@ -175,7 +170,7 @@ def _cmd_predict(args) -> dict:
 
 
 def _cmd_eval_synth(args) -> dict:
-    params = PredictParams(args.gamma, args.u, args.alpha, args.k, 1)
+    params = PredictParams(args.gamma, args.u, args.alpha, args.k)
     reports = evaluate.run_synthetic_experiment(
         args.experiment,
         args.runs,
@@ -194,7 +189,7 @@ def _cmd_eval_synth(args) -> dict:
 
 def _cmd_eval_real(args) -> dict:
     series = _series_from_file(args.input, args.granularity, 0)
-    params = PredictParams(args.gamma, args.u, args.alpha, args.k, 1)
+    params = PredictParams(args.gamma, args.u, args.alpha, args.k)
     reports = evaluate.run_real_experiment(
         series, args.Ts, args.horizons, params, window=args.window
     )
@@ -206,7 +201,8 @@ def _cmd_eval_real(args) -> dict:
 
 def _cmd_sweep(args) -> dict:
     series = _series_from_file(args.input, args.granularity, args.train_window)
-    results = predict_distribution(series, args.gammas, args.us, args.alpha, args.k, args.horizon)
+    base = PredictParams(alpha=args.alpha, k=args.k, h=args.horizon)
+    results = predict_distribution(series, args.gammas, args.us, base)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "u", "n_hat", "vertex_count", "edge_count"])
@@ -227,12 +223,18 @@ def _cmd_sweep(args) -> dict:
 # flags the sidecar leaves out of its params: seed has its own field
 _NOT_PARAMS = ("command", "config", "out", "seed")
 
+# name -> (handler, help line, flags in help order)
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "predict": _cmd_predict,
-    "eval-synth": _cmd_eval_synth,
-    "eval-real": _cmd_eval_real,
-    "sweep": _cmd_sweep,
+    "synth": (_cmd_synth, "generate a synthetic edge-list file",
+              "out snapshots s s0 base step width experiment delete-min delete-max seed"),
+    "predict": (_cmd_predict, "predict T+h from an edge-list file",
+                "input out granularity horizon train-window gamma u alpha k"),
+    "eval-synth": (_cmd_eval_synth, "synthetic-protocol evaluation",
+                   "out experiment runs T horizons seed s s0 base step width gamma u alpha k"),
+    "eval-real": (_cmd_eval_real, "moving-window evaluation of an edge list",
+                  "input out granularity Ts horizons window dataset gamma u alpha k"),
+    "sweep": (_cmd_sweep, "gamma x u prediction-distribution dump",
+              "input out granularity horizon gammas us alpha k train-window"),
 }
 
 
@@ -247,15 +249,10 @@ def main(argv: list[str] | None = None) -> int:
         if config_path is not None:
             config = _load_config(config_path)
             for sp in subparsers.values():
-                typed = {}
-                for action in sp._actions:
-                    if action.dest in config:
-                        raw = config[action.dest]
-                        typed[action.dest] = action.type(raw) if action.type else raw
-                sp.set_defaults(**typed)
+                sp.set_defaults(**{a.dest: config[a.dest] for a in sp._actions if a.dest in config})
         args = parser.parse_args(argv)
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-        extra = _COMMANDS[args.command](args)
+        extra = _COMMANDS[args.command][0](args)
         # the sidecar records the parsed flags, plus what the command adds
         params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
         seed = getattr(args, "seed", None)

@@ -8,7 +8,7 @@ edges, since the vertex count is a first-class forecast).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import constraints, solver
 from .candidates import build_hypothetical
@@ -75,15 +75,12 @@ def predict_distribution(
     series: GraphSeries,
     gammas: list[float],
     us: list[float],
-    alpha: float = 1e-3,
-    k: int = 10,
-    h: int = 1,
+    base: PredictParams = PredictParams(),
 ) -> list[PredictedGraph]:
-    """Predictions for every (gamma, u) pair, in row-major order over the grid."""
+    """Predictions for every (gamma, u) pair, in row-major order over the grid.
+
+    Each cell is ``base`` with its gamma and u replaced.
+    """
     if not gammas or not us:
         raise ValueError("gammas and us must be non-empty")
-    return [
-        predict(series, PredictParams(gamma=g, u=u, alpha=alpha, k=k, h=h))
-        for g in gammas
-        for u in us
-    ]
+    return [predict(series, replace(base, gamma=g, u=u)) for g in gammas for u in us]

@@ -129,16 +129,17 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
     """Globally optimal binary selection via depth-first branch and bound.
 
     Each node solves its LP relaxation over the free columns (HiGHS dual
-    simplex, a basic solution), branches on the most fractional variable,
-    explores x = 1 first, and prunes nodes whose relaxation bound cannot
-    strictly beat the incumbent, so the first optimum reached in this fixed
-    order is returned.  Bounds are floored onto the objective lattice when
-    the coefficients allow it, and rounding down plus a greedy completion
-    supplies incumbents early.  Node capacities are floored (integer
-    activities cannot exceed floor(f)), which tightens the relaxation
-    without excluding any binary solution.  The root relaxation is
-    solve_lp's.  Past NODE_CAP nodes the search stops and returns the
-    incumbent (the empty selection if it has none) with status "node_cap".
+    simplex, a basic solution) and offers that solution, rounded down and
+    completed greedily, as an incumbent.  A node ends when its solution is
+    integral or its relaxation bound cannot strictly beat the incumbent;
+    otherwise it branches on the most fractional variable and explores x = 1
+    first, so the first optimum reached in this fixed order is returned.
+    Bounds are floored onto the objective lattice when the coefficients
+    allow it.  Node capacities are floored (integer activities cannot exceed
+    floor(f)), which tightens the relaxation without excluding any binary
+    solution.  The root relaxation is solve_lp's.  Past NODE_CAP nodes the
+    search stops and returns the incumbent (the empty selection if it has
+    none) with status "node_cap".
     """
     root = solve_lp(cs)
     C = cs.n_cols
@@ -166,19 +167,17 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
             return lattice * math.floor(bound / lattice + 1e-4)
         return bound
 
-    def greedy_complete(mask: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-        """Extend a feasible selection by allowed columns, best weight first."""
+    def greedy_complete(mask: np.ndarray, free_idx: np.ndarray) -> None:
+        """Extend a feasible selection in place by free columns, best weight first."""
         cap = f - M @ mask
-        out = mask.copy()
-        todo = np.flatnonzero(allowed & ~mask)
+        todo = free_idx[~mask[free_idx]]
         for j in todo[np.lexsort((todo, -c[todo]))]:
             a, b = eA[j], eB[j]
             if cap[a] >= 1.0 and cap[b] >= 1.0 and cap[R - 1] >= 1.0:
-                out[j] = True
+                mask[j] = True
                 cap[a] -= 1.0
                 cap[b] -= 1.0
                 cap[R - 1] -= 1.0
-        return out
 
     inc_mask = np.zeros(C, dtype=bool)  # x = 0 is always feasible
     inc_obj = -np.inf
@@ -205,11 +204,6 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
             free &= _selectable(cs, f_red)
         free_idx = np.flatnonzero(free)
 
-        if free_idx.size == 0:
-            if obj_offset > inc_obj + 1e-12:
-                inc_obj, inc_mask = obj_offset, fix1.copy()
-            continue
-
         if nodes == 1:
             x_f, lp_obj, lp_status = root.values[free_idx], root.objective, root.status
         else:
@@ -221,29 +215,20 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
         if bound <= inc_obj + prune_gap:
             continue
 
-        frac = np.minimum(x_f, 1.0 - x_f)
-        if float(frac.max()) <= INT_TOL:
-            mask = fix1.copy()
-            mask[free_idx[x_f > 0.5]] = True
-            cand_obj = selection_objective(c, mask)
-            if cand_obj > inc_obj + 1e-12:
-                inc_obj, inc_mask = cand_obj, mask
-            continue
-
-        # rounding the fractional solution down stays feasible; a greedy
-        # completion then recovers most of the fractional remainder
+        # rounding the LP solution down stays feasible (and is the LP solution
+        # when it is integral); a greedy completion then recovers most of the
+        # fractional remainder
         mask = fix1.copy()
         mask[free_idx[x_f > 1.0 - INT_TOL]] = True
         if (M @ mask <= f + FEAS_TOL).all():
-            free_mask = np.zeros(C, dtype=bool)
-            free_mask[free_idx] = True
-            mask = greedy_complete(mask, free_mask)
+            greedy_complete(mask, free_idx)
             cand_obj = selection_objective(c, mask)
             if cand_obj > inc_obj + 1e-12:
                 inc_obj, inc_mask = cand_obj, mask
-            if bound <= inc_obj + prune_gap:
-                continue
 
+        frac = np.minimum(x_f, 1.0 - x_f)
+        if frac.max(initial=0.0) <= INT_TOL or bound <= inc_obj + prune_gap:
+            continue
         j = int(free_idx[int(np.argmax(frac))])
         child0_f0 = fix0.copy()
         child0_f0[j] = True

@@ -192,6 +192,16 @@ class TestConfigFile:
         events = parse_edgelist(out2)
         assert max(e.t for e in events) == 6  # explicit flag wins
 
+    def test_another_commands_key_is_allowed_and_left_out(self, small_edgelist, tmp_path):
+        # one file may serve several commands: predict takes k but not runs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("runs=3\nk=3\n")
+        out = tmp_path / "pred.txt"
+        run(["--config", str(cfg), "predict", "--input", str(small_edgelist), "--out", str(out)])
+        params = json.loads((tmp_path / "pred.txt.meta.json").read_text())["params"]
+        assert params["k"] == 3
+        assert "runs" not in params
+
     def test_config_without_value_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--out", str(tmp_path / "x.txt"), "--config"])
@@ -284,6 +294,63 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["eval-synth", "--out", "OUT", "--runs", "1", "--horizons", "3-1"],
+             "--horizons", "3-1"),
+            (["eval-synth", "--out", "OUT", "--runs", "1", "--horizons", ""], "--horizons", ""),
+            (["eval-synth", "--out", "OUT", "--runs", "1", "--horizons", "1,1"],
+             "--horizons", "1,1"),
+            (["eval-real", "--input", "IN", "--out", "OUT", "--Ts", ""], "--Ts", ""),
+            (["eval-real", "--input", "IN", "--out", "OUT", "--Ts", "15,15,16"],
+             "--Ts", "15,15,16"),
+            (["sweep", "--input", "IN", "--out", "OUT", "--gammas", ""], "--gammas", ""),
+        ],
+        ids=["reversed-range", "empty", "repeat", "empty-Ts", "repeat-Ts", "empty-gammas"],
+    )
+    def test_empty_or_repeated_list_is_a_usage_error(
+        self, small_edgelist, tmp_path, capsys, argv, flag, value
+    ):
+        out = tmp_path / "out.txt"
+        paths = {"IN": str(small_edgelist), "OUT": str(out)}
+        with pytest.raises(SystemExit) as exc:
+            main([paths.get(a, a) for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err
+        assert f"value: {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, argv, message",
+        [
+            ("gama=0.3\n", ["predict", "--input", "IN", "--out", "OUT"],
+             "config key 'gama' is not a flag of any command"),
+            ("k=abc\n", ["predict", "--input", "IN", "--out", "OUT"],
+             "config k='abc': invalid literal for int()"),
+            ("horizons=\n", ["eval-synth", "--out", "OUT", "--runs", "1"],
+             "config horizons='': empty list"),
+            ("experiment=3\n", ["synth", "--out", "OUT", "--snapshots", "5", "--s", "2",
+                                "--s0", "5", "--base", "8", "--step", "2", "--width", "2"],
+             "config experiment='3': not one of (1, 2)"),
+        ],
+        ids=["unknown-key", "bad-value", "empty-list", "bad-choice"],
+    )
+    def test_bad_config_is_a_one_line_error(
+        self, small_edgelist, tmp_path, capsys, config, argv, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out.txt"
+        paths = {"IN": str(small_edgelist), "OUT": str(out)}
+        code = main(["--config", str(cfg)] + [paths.get(a, a) for a in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"graphforecast: error: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 # one invocation per command; IN and OUT stand for the input and output paths
 SIDECAR_RUNS = {
@@ -323,6 +390,31 @@ class TestSidecar:
         assert params == expected
         for name, value in LIST_FLAGS.get(command, {}).items():
             assert params[name] == value
+
+    def test_defaults_per_command(self):
+        # the parsed defaults are the sidecar's params, so each one is written out
+        prediction = {"gamma": 0.5, "u": 0.8, "alpha": 0.001, "k": 10}
+        synthetic = {"s": 10, "s0": 45, "base": 45, "step": 5, "width": 5}
+        expected = {
+            "synth": {"snapshots": 20, **synthetic, "experiment": 1,
+                      "delete_min": 5, "delete_max": 10, "seed": 0},
+            "predict": {"input": "IN", "granularity": "ticks:1", "horizon": 1,
+                        "train_window": 0, **prediction},
+            "eval-synth": {"experiment": 1, "runs": 10, "T": 15, "horizons": [1, 2, 3, 4, 5],
+                           "seed": 0, **synthetic, **prediction},
+            "eval-real": {"input": "IN", "granularity": "daily",
+                          "Ts": [15, 16, 17, 18, 19, 20, 21, 22, 23, 24],
+                          "horizons": [1, 2, 3, 4, 5], "window": 15, "dataset": "",
+                          **prediction},
+            "sweep": {"input": "IN", "granularity": "ticks:1", "horizon": 1,
+                      "gammas": [0.2, 0.5, 0.8], "us": [0.5, 0.8, 0.95], "alpha": 0.001,
+                      "k": 10, "train_window": 0},
+        }
+        parser = _build_parser()[0]
+        for command, defaults in expected.items():
+            argv = [command, "--out", "OUT"] + (["--input", "IN"] if "input" in defaults else [])
+            parsed = vars(parser.parse_args(argv))
+            assert parsed == {"config": None, "command": command, "out": "OUT", **defaults}
 
 
 class TestStartup:

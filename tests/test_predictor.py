@@ -156,7 +156,9 @@ class TestPredictDistribution:
     def test_edge_count_weakly_grows_in_u(self):
         for seed in range(10):
             series = small_pa_series(seed).window(1, 7)
-            grid = predict_distribution(series, [0.5], [0.3, 0.5, 0.7, 0.9], h=2)
+            grid = predict_distribution(
+                series, [0.5], [0.3, 0.5, 0.7, 0.9], base=PredictParams(h=2)
+            )
             counts = [p.graph.edge_count for p in grid]
             assert counts == sorted(counts)
 
