@@ -31,6 +31,15 @@ from .datagen import PaConfig, delete_edges, pa_sequence, uniform_band_schedule
 from .predictor import PredictParams, predict, predict_distribution
 
 
+def _distinct(values: list) -> list:
+    """The parsed values of a list flag; an empty list or a repeat is an error."""
+    if not values:
+        raise ValueError("empty list")
+    if len(set(values)) < len(values):
+        raise ValueError("repeated value")
+    return values
+
+
 def _parse_int_list(text: str) -> list[int]:
     """Accept '1,2,3' or a range '15-24'; an empty list or a repeat is an error."""
     text = text.strip()
@@ -39,18 +48,12 @@ def _parse_int_list(text: str) -> list[int]:
         values = list(range(int(lo), int(hi) + 1))
     else:
         values = [int(part) for part in text.split(",") if part]
-    if not values:
-        raise ValueError("empty list")
-    if len(set(values)) < len(values):
-        raise ValueError("repeated value")
-    return values
+    return _distinct(values)
 
 
 def _parse_float_list(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part]
-    if not values:
-        raise ValueError("empty list")
-    return values
+    """Accept '0.2,0.5'; an empty list or a repeat is an error."""
+    return _distinct([float(part) for part in text.split(",") if part])
 
 
 _DEFAULT = PredictParams()

@@ -13,7 +13,9 @@ section 7.2), so each (p, d, q) cell is fitted by Levenberg-Marquardt from a
 Hannan-Rissanen start, with every step kept inside the stationary and
 invertible region sum|phi| <= 0.99, sum|theta| <= 0.99.  Pure AR cells whose
 least-squares fit lies in that region take it as is.  Order selection
-minimises AICc over a fixed (p, d, q) grid.  Forecasts continue the ARMA
+follows auto.arima: d is the number of differences a KPSS test asks for,
+since AICc cannot compare fits of differently differenced data, and (p, q)
+is found by a stepwise AICc search at that d.  Forecasts continue the ARMA
 recursion from the in-sample residuals of the same CSS kernel, and their
 predictive intervals are the usual Gaussian psi-weight approximation.
 ``upper_bound`` turns a count series into its forecast quantile clamped at
@@ -46,6 +48,10 @@ _MAX_ITER = 500  # trial steps, accepted or rejected, before the cell is given u
 _RSS_TOL = 1e-8
 _DAMPING_START = 1e-3
 _DAMPING_MAX = 1e10  # no damped step lowers the RSS: a minimum, or one on the region's edge
+
+# 5% critical value of the KPSS level-stationarity statistic (Kwiatkowski,
+# Phillips, Schmidt & Shin, J. Econometrics 54, 1992, table 1)
+_KPSS_CRITICAL = 0.463
 
 
 @dataclass(frozen=True)
@@ -345,39 +351,76 @@ def fit(series: Series, p: int, d: int, q: int) -> ArimaFit:
     )
 
 
+def _kpss(w: np.ndarray) -> float:
+    """KPSS level-stationarity statistic of w (Kwiatkowski, Phillips, Schmidt & Shin 1992).
+
+    The partial sums of the demeaned series over n^2 times a Newey-West
+    long-run variance, with Bartlett weights to lag trunc(12 (n/100)^(1/4)),
+    capped at n - 1.  The shorter lag trunc(4 (n/100)^(1/4)) rejects white
+    noise too often at the series lengths seen here.
+    """
+    n = len(w)
+    e = w - w.mean()
+    s = np.cumsum(e)
+    lags = min(int(12.0 * (n / 100.0) ** 0.25), n - 1)
+    lrv = e @ e + sum(2.0 * (1.0 - j / (lags + 1)) * (e[j:] @ e[:-j]) for j in range(1, lags + 1))
+    return float(s @ s / (n * lrv))
+
+
+def _kpss_d(values: tuple[float, ...]) -> int:
+    """Differences taken while KPSS rejects level stationarity at 5%.
+
+    Stops at MAX_D, at a constant series, and at n - 4 differences, past which
+    no cell's AICc is defined.
+    """
+    w = np.asarray(values, dtype=float)
+    d = 0
+    while d < min(MAX_D, len(values) - 4) and np.ptp(w) > 0 and _kpss(w) > _KPSS_CRITICAL:
+        w = np.diff(w)
+        d += 1
+    return d
+
+
 @lru_cache(maxsize=8192)
 def _auto_fit_cached(values: tuple[float, ...]) -> ArimaFit:
     series = Series(values)
     if len(set(values)) == 1:
-        # Every grid cell fits a constant series exactly; the AICc tie-break
-        # (fewest parameters, least differencing) always lands on (0,0,0).
+        # Every cell fits a constant series exactly, and (0,0,0), with the
+        # fewest parameters, has the least AICc.
         return fit(series, 0, 0, 0)
-    best = None
-    best_key = None
-    n = len(series)
-    for d in range(MAX_D + 1):
-        for p in range(MAX_P + 1):
-            for q in range(MAX_Q + 1):
-                if n < p + q + d + 3:
-                    continue
-                if (n - d - p) - (p + q + 2) - 1 <= 0:
-                    continue  # AICc undefined: the cell could never be selected
+    n, d = len(series), _kpss_d(values)
+    fits: dict[tuple[int, int], ArimaFit | None] = {}
+
+    def key(cell: tuple[int, int]) -> tuple:
+        """The cell's (aicc, p+q, d, p), or (inf,) if it cannot be selected."""
+        p, q = cell
+        if cell not in fits:
+            fits[cell] = None
+            if 0 <= p <= MAX_P and 0 <= q <= MAX_Q and (n - d - p) - (p + q + 2) - 1 > 0:
                 try:
-                    cand = fit(series, p, d, q)
-                except (ValueError, RuntimeError):
-                    continue
-                key = (cand.aicc, p + q, d, p)
-                if best_key is None or key < best_key:
-                    best, best_key = cand, key
-    if best is None:
-        raise ValueError("no ARIMA order is fittable for this series")
-    return best
+                    fits[cell] = fit(series, p, d, q)
+                except RuntimeError:
+                    pass  # a cell that does not converge is skipped
+        f = fits[cell]
+        return (math.inf,) if f is None else (f.aicc, p + q, d, p)
+
+    best = min([(2, 2), (0, 0), (1, 0), (0, 1)], key=key)  # (0, 0) is always selectable
+    while True:
+        p, q = best
+        step = min([(p + i, q + j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], key=key)
+        if key(step) >= key(best):
+            return fits[best]
+        best = step
 
 
 def auto_fit(series: Series) -> ArimaFit:
-    """Grid-search ARIMA orders (p<=5, d<=2, q<=5) and return the minimal-AICc fit.
+    """Select an ARIMA order as auto.arima does and return its fit.
 
-    Ties break deterministically: smaller p+q, then smaller d, then smaller p.
+    d is the number of differences KPSS asks for (``_kpss_d``).  At that d,
+    the search starts from the best of (2,2), (0,0), (1,0) and (0,1) and
+    moves to the best neighbouring (p +- 1, q +- 1) cell while one lowers
+    the key (AICc, p+q, d, p) (Hyndman & Khandakar, J. Stat. Softw. 27(3),
+    2008).  Cells whose fit does not converge are skipped.
     """
     if len(series) < 4:
         raise ValueError(f"auto_fit needs at least 4 observations, got {len(series)}")

@@ -306,8 +306,12 @@ class TestBadInput:
             (["eval-real", "--input", "IN", "--out", "OUT", "--Ts", "15,15,16"],
              "--Ts", "15,15,16"),
             (["sweep", "--input", "IN", "--out", "OUT", "--gammas", ""], "--gammas", ""),
+            (["sweep", "--input", "IN", "--out", "OUT", "--us", "0.8,0.8"], "--us", "0.8,0.8"),
+            (["sweep", "--input", "IN", "--out", "OUT", "--gammas", "0.5,0.50"],
+             "--gammas", "0.5,0.50"),
         ],
-        ids=["reversed-range", "empty", "repeat", "empty-Ts", "repeat-Ts", "empty-gammas"],
+        ids=["reversed-range", "empty", "repeat", "empty-Ts", "repeat-Ts", "empty-gammas",
+             "repeat-us", "repeat-gammas"],
     )
     def test_empty_or_repeated_list_is_a_usage_error(
         self, small_edgelist, tmp_path, capsys, argv, flag, value

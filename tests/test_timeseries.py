@@ -251,6 +251,83 @@ class TestFitRegion:
         assert math.isfinite(fit.aicc)
 
 
+def kpss_reference(w):
+    """The KPSS statistic written out: partial sums over a Bartlett long-run variance."""
+    n = len(w)
+    mean = sum(w) / n
+    e = [v - mean for v in w]
+    partial, acc = [], 0.0
+    for v in e:
+        acc += v
+        partial.append(acc)
+    lags = min(math.trunc(12 * (n / 100) ** 0.25), n - 1)
+    lrv = sum(v * v for v in e) / n
+    for j in range(1, lags + 1):
+        gamma_j = sum(e[t] * e[t - j] for t in range(j, n)) / n
+        lrv += 2 * (1 - j / (lags + 1)) * gamma_j
+    return sum(v * v for v in partial) / (n * n * lrv)
+
+
+def assert_stepwise_selection(values):
+    """auto_fit's order is the KPSS d and a (p, q) that no neighbouring cell improves on.
+
+    d counts the differences taken while the KPSS statistic exceeds its 5%
+    critical value 0.463, until the series is constant, d = 2, or d = n - 4;
+    a neighbour (p +- 1, q +- 1) is fitted directly and counts when its AICc
+    is defined and its fit converges.
+    """
+    s = ts.Series.from_values(values)
+    n = len(s)
+    chosen = ts.auto_fit(s)
+    if len(set(s.values)) == 1:
+        assert (chosen.p, chosen.d, chosen.q) == (0, 0, 0)
+        return
+    w, d = np.asarray(s.values), 0
+    while d < min(2, n - 4) and np.ptp(w) > 0 and kpss_reference(w.tolist()) > 0.463:
+        w, d = np.diff(w), d + 1
+    assert chosen.d == d
+    key = (chosen.aicc, chosen.p + chosen.q, chosen.d, chosen.p)
+    for i in (-1, 0, 1):
+        for j in (-1, 0, 1):
+            p, q = chosen.p + i, chosen.q + j
+            if not (0 <= p <= ts.MAX_P and 0 <= q <= ts.MAX_Q) or n - d - 2 * p - q - 3 <= 0:
+                continue
+            try:
+                cand = ts.fit(s, p, d, q)
+            except RuntimeError:
+                continue
+            assert key <= (cand.aicc, p + q, d, p)
+
+
+class TestKpss:
+    def test_constant_needs_no_difference(self):
+        assert ts._kpss_d((7.0,) * 20) == 0
+
+    def test_ramp_needs_one_difference(self):
+        ramp = np.arange(1.0, 51.0)
+        assert ts._kpss(ramp) > ts._KPSS_CRITICAL
+        assert ts._kpss_d(tuple(ramp)) == 1
+
+    def test_white_noise_statistic(self):
+        # the series of test_white_noise_stays_parsimonious; the shorter lag
+        # trunc(4 (n/100)^(1/4)) gives 0.482 here and rejects
+        w = np.random.default_rng(5).standard_normal(200)
+        assert ts._kpss(w) == pytest.approx(0.3624, abs=1e-4)
+        assert ts._kpss_d(tuple(w)) == 0
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.floats(-50, 50), min_size=2, max_size=40).filter(lambda v: np.ptp(v) > 1e-3))
+    def test_matches_the_written_out_statistic(self, values):
+        assert ts._kpss(np.asarray(values)) == pytest.approx(kpss_reference(values), rel=1e-9)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, 30), min_size=2, max_size=7).filter(lambda v: len(set(v)) > 1))
+    def test_short_series_statistic_is_one_half(self, values):
+        # up to 7 points the lag reaches n - 1, where the Bartlett long-run
+        # variance is 2/n^2 times the sum of squared partial sums
+        assert ts._kpss(np.asarray(values, dtype=float)) == pytest.approx(0.5, rel=1e-12)
+
+
 class TestAutoFit:
     def test_constant_series(self):
         s = ts.Series.from_values([7.0] * 20)
@@ -264,26 +341,33 @@ class TestAutoFit:
         fc = ts.forecast(fit, s, 1)
         assert fc.means[0] == pytest.approx(21.0, abs=0.5)
 
-    def test_ramp_selection_matches_exhaustive_grid(self):
-        # oracle: evaluate the same AICc on every grid cell directly
-        s = ts.Series.from_values(range(1, 21))
-        best_key = None
-        for d in range(ts.MAX_D + 1):
-            for p in range(ts.MAX_P + 1):
-                for q in range(ts.MAX_Q + 1):
-                    if len(s) < p + q + d + 3:
-                        continue
-                    if (len(s) - d - p) - (p + q + 2) - 1 <= 0:
-                        continue
-                    try:
-                        cand = ts.fit(s, p, d, q)
-                    except (ValueError, RuntimeError):
-                        continue
-                    key = (cand.aicc, p + q, d, p)
-                    if best_key is None or key < best_key:
-                        best_key = key
-        chosen = ts.auto_fit(s)
-        assert (chosen.aicc, chosen.p + chosen.q, chosen.d, chosen.p) == best_key
+    def test_ramp_selection_is_a_stepwise_minimum(self):
+        assert_stepwise_selection(range(1, 21))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.integers(0, 30), min_size=4, max_size=20))
+    def test_selection_is_a_stepwise_minimum(self, values):
+        assert_stepwise_selection(values)
+
+    @pytest.mark.parametrize(
+        "values, order",
+        [
+            ((4, 8, 11, 12), (0, 0, 0)),
+            ((3, 3, 3, 6), (0, 0, 0)),
+            ((9, 13, 18, 19, 22), (0, 1, 0)),
+            ((4, 4, 5, 4, 4), (0, 1, 0)),
+        ],
+    )
+    def test_sweep_short_series(self, values, order):
+        # 4- and 5-point degree series of the sweep-short benchmark input.
+        # KPSS rejects each of them (its statistic is 1/2 at these lengths),
+        # but no cell's AICc is defined past d = n - 4, so a 4-point series
+        # falls back to d = 0 and a 5-point series stops at d = 1
+        w = np.asarray(values, dtype=float)
+        assert ts._kpss(w) > ts._KPSS_CRITICAL
+        fit = ts.auto_fit(ts.Series.from_values(values))
+        assert (fit.p, fit.d, fit.q) == order
+        assert_stepwise_selection(values)
 
     def test_white_noise_stays_parsimonious(self):
         rng = np.random.default_rng(5)
