@@ -220,7 +220,8 @@ def _cmd_sweep(args) -> dict:
                 ]
             )
     print(f"wrote {len(results)} sweep rows to {args.out}")
-    return {}
+    capped = sum(pg.diagnostics["ilp_status"] == "node_cap" for pg in results)
+    return {"node_cap_predictions": capped}
 
 
 # flags the sidecar leaves out of its params: seed has its own field

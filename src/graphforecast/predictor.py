@@ -8,11 +8,14 @@ edges, since the vertex count is a first-class forecast).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 from . import constraints, solver
 from .candidates import build_hypothetical
 from .graphs import Graph, GraphSeries
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,12 @@ def predict(series: GraphSeries, params: PredictParams) -> PredictedGraph:
     H = build_hypothetical(series, params.h, params.gamma, params.k)
     cs = constraints.assemble(series, H, params.h, params.u, params.alpha)
     ilp = solver.solve_ilp(cs)
+    if ilp.status == "node_cap":
+        log.warning(
+            "prediction at gamma=%g, u=%g, h=%d stopped at the branch-and-bound node cap "
+            "(%d nodes): its edge set is the best found, not a proven optimum",
+            params.gamma, params.u, params.h, ilp.nodes_explored,
+        )
     edges = [H.candidates[j].pair for j in range(cs.n_cols) if ilp.values[j]]
     vertices = set(H.base.vertices)
     vertices.update(H.new_vertex_ids)
@@ -67,6 +76,7 @@ def predict(series: GraphSeries, params: PredictParams) -> PredictedGraph:
             "n_hat": H.n_hat,
             "nodes_explored": ilp.nodes_explored,
             "ilp_status": ilp.status,
+            "forced_columns": ilp.forced_columns,
         },
     )
 

@@ -4,10 +4,15 @@ The problem is  max c.x  subject to  0 <= Mx <= f  and binary x, where every
 column of M has exactly two 1-entries among the vertex rows plus a 1 in the
 final all-ones row.  Binary activities are integers, so every solver accepts
 Mx <= f + FEAS_TOL, and solve_lp and solve_ilp work on floor(f + FEAS_TOL).
-solve_lp relaxes x to [0, 1] and solves it with HiGHS's dual simplex
-(scipy.optimize.linprog); solve_ilp runs depth-first branch and bound whose
-root node is solve_lp's solution, so a prediction solves the root LP once;
-brute_force enumerates every subset for verification.
+Before the root LP, _forced fixes at 1 the top-weight columns that a
+dominance argument on the b-matching rows shows to be 1 in every LP and
+binary optimum (for the 1-versus-alpha weights: the existing edges at
+vertices whose bound admits all their existing edges).  solve_lp relaxes the
+remaining columns to [0, 1] and solves them with HiGHS's dual simplex
+(scipy.optimize.linprog); solve_ilp runs depth-first branch and bound from
+those fixings, and its root node is solve_lp's solution, so a prediction
+solves the root LP once; brute_force enumerates every subset of the
+unreduced system for verification.
 
 Because M is non-negative and the lower row bounds are zero, x = 0 is always
 feasible, so neither solver can fail on feasibility.
@@ -49,6 +54,7 @@ class IlpSolution:
     nodes_explored: int
     lp_objective: float  # the LP relaxation's optimum, an upper bound on objective
     status: str  # "optimal", or "node_cap": the best selection found within NODE_CAP nodes
+    forced_columns: int  # columns fixed at 1 before the root LP (_forced)
 
 
 def selection_objective(c: np.ndarray, mask: np.ndarray) -> float:
@@ -89,21 +95,53 @@ def _selectable(cs: ConstraintSystem, cap: np.ndarray) -> np.ndarray:
     return colcap >= 1.0 - INT_TOL
 
 
+def _forced(cs: ConstraintSystem, f: np.ndarray) -> np.ndarray:
+    """Columns that are 1 in every optimum of the LP and of the binary program.
+
+    Let W be the top weight.  When every other weight is below W/2 and the
+    floored total-edge bound f[-1] admits all W-weight columns, a W-weight
+    column whose two endpoint rows each admit all their W-weight columns is
+    1 in every optimum: where it is below 1 by d, each tight row it touches,
+    the total-edge row included, carries at least d of lighter columns, so
+    raising it by d and taking d of lighter columns off each tight endpoint
+    row (or off the total row when only it is tight) gains at least
+    d * (W - 2 * max(other weight)) > 0.  When the condition fails, nothing
+    is forced.
+    """
+    c = cs.objective
+    forced = np.zeros(cs.n_cols, dtype=bool)
+    if cs.n_cols == 0 or c.max() <= 0:
+        return forced
+    top = c == c.max()
+    if 2.0 * c[~top].max(initial=0.0) >= c.max() or f[-1] < top.sum():
+        return forced
+    e = cs.endpoint_rows[top]
+    roomy = f >= np.bincount(e.ravel(), minlength=cs.n_rows)
+    forced[np.flatnonzero(top)[roomy[e[:, 0]] & roomy[e[:, 1]]]] = True
+    return forced
+
+
 def solve_lp(cs: ConstraintSystem) -> LpSolution:
     """Optimal basic solution of the LP relaxation (x in [0, 1]).
 
-    This is solve_ilp's root node: it relaxes the floored bounds and leaves
-    out (holds at 0) the columns no binary selection can take, so its
+    This is solve_ilp's root node: it relaxes the floored bounds, fixes the
+    _forced columns at 1 (every LP optimum has them at 1, so the optimum is
+    the unreduced relaxation's), takes them off the row capacities and leaves
+    out (holds at 0) the columns no binary selection can then take, so its
     objective bounds every selection solve_ilp and brute_force can return.
+    HiGHS sees only the columns still selectable.
     """
     cs.validate()
     f = _floored_bounds(cs)
     c = cs.objective.astype(float)
-    free_idx = np.flatnonzero(_selectable(cs, f))
-    x_f, obj, status = _lp_values(cs.matrix()[:, free_idx], c[free_idx], f)
-    x = np.zeros(cs.n_cols)
+    M = cs.matrix()
+    forced = _forced(cs, f)
+    f_red = f - M @ forced
+    free_idx = np.flatnonzero(~forced & _selectable(cs, f_red))
+    x_f, _, status = _lp_values(M[:, free_idx], c[free_idx], f_red)
+    x = forced.astype(float)
     x[free_idx] = x_f
-    return LpSolution(values=x, objective=obj, status=status)
+    return LpSolution(values=x, objective=float(c @ x), status=status)
 
 
 def _min_improvement(c: np.ndarray) -> float:
@@ -137,7 +175,8 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
     Bounds are floored onto the objective lattice when the coefficients
     allow it.  Node capacities are floored (integer activities cannot exceed
     floor(f)), which tightens the relaxation without excluding any binary
-    solution.  The root relaxation is solve_lp's.  Past NODE_CAP nodes the
+    solution.  The root fixes the _forced columns at 1, which every optimum
+    contains, and its relaxation is solve_lp's.  Past NODE_CAP nodes the
     search stops and returns the incumbent (the empty selection if it has
     none) with status "node_cap".
     """
@@ -150,6 +189,7 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
             nodes_explored=0,
             lp_objective=root.objective,
             status="optimal",
+            forced_columns=0,
         )
     M = cs.matrix()
     eA = cs.endpoint_rows[:, 0]
@@ -157,6 +197,7 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
     R = cs.n_rows
     c = cs.objective.astype(float)
     f = _floored_bounds(cs)
+    forced = _forced(cs, f)
     lattice = _min_improvement(c)
     prune_gap = max(0.999 * lattice, PRUNE_TOL)
 
@@ -183,9 +224,7 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
     inc_obj = -np.inf
     nodes = 0
     status = "optimal"
-    stack: list[tuple[np.ndarray, np.ndarray]] = [
-        (np.zeros(C, dtype=bool), np.zeros(C, dtype=bool))
-    ]
+    stack: list[tuple[np.ndarray, np.ndarray]] = [(np.zeros(C, dtype=bool), forced)]
 
     while stack:
         if nodes == NODE_CAP:
@@ -205,13 +244,15 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
         free_idx = np.flatnonzero(free)
 
         if nodes == 1:
-            x_f, lp_obj, lp_status = root.values[free_idx], root.objective, root.status
+            # solve_lp's objective already counts the forced columns
+            x_f, relaxed, lp_status = root.values[free_idx], root.objective, root.status
         else:
             x_f, lp_obj, lp_status = _lp_values(M[:, free_idx], c[free_idx], f_red)
+            relaxed = obj_offset + lp_obj
         if lp_status is LpStatus.ITERATION_LIMIT:
             bound = obj_offset + float(c[free_idx].sum())  # trivial but sound
         else:
-            bound = tighten(obj_offset + lp_obj)
+            bound = tighten(relaxed)
         if bound <= inc_obj + prune_gap:
             continue
 
@@ -243,6 +284,7 @@ def solve_ilp(cs: ConstraintSystem) -> IlpSolution:
         nodes_explored=nodes,
         lp_objective=root.objective,
         status=status,
+        forced_columns=int(forced.sum()),
     )
 
 
@@ -285,4 +327,5 @@ def brute_force(cs: ConstraintSystem) -> IlpSolution:
         nodes_explored=total,
         lp_objective=solve_lp(cs).objective,
         status="optimal",
+        forced_columns=0,
     )

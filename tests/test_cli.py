@@ -1,10 +1,12 @@
 import csv
 import json
+import logging
 import subprocess
 import sys
 
 import pytest
 
+from graphforecast import solver
 from graphforecast.cli import _build_parser, main
 from graphforecast.ingest import expanding_windows, parse_edgelist
 
@@ -156,6 +158,43 @@ class TestSweep:
             rows = list(csv.reader(fh))
         assert rows[0] == ["gamma", "u", "n_hat", "vertex_count", "edge_count"]
         assert len(rows) == 5
+
+
+# runs with exactly one prediction whose root LP is fractional, so its search
+# branches; (snapshots of the synthetic input or None, argv)
+SYNTH_ARGS = ["--s", "2", "--s0", "3", "--base", "0", "--step", "4", "--width", "1", "--seed", "10"]
+BRANCHING_RUNS = {
+    "sweep": (5, ["sweep", "--input", "IN", "--out", "OUT", "--granularity", "ticks:1",
+                  "--gammas", "0.5", "--us", "0.8,0.95", "--k", "3"]),
+    "eval-real": (6, ["eval-real", "--input", "IN", "--out", "OUT", "--granularity", "ticks:1",
+                      "--Ts", "5", "--horizons", "1", "--window", "5", "--u", "0.95", "--k", "3"]),
+    "eval-synth": (None, ["eval-synth", "--out", "OUT", "--runs", "1", "--T", "5",
+                          "--horizons", "1", "--s", "2", "--s0", "3", "--base", "0",
+                          "--step", "8", "--width", "1", "--u", "0.5", "--k", "3",
+                          "--seed", "5"]),
+}
+
+
+class TestNodeCap:
+    @pytest.mark.parametrize("command", sorted(BRANCHING_RUNS))
+    def test_capped_prediction_is_reported(self, command, tmp_path, monkeypatch, caplog):
+        snapshots, argv = BRANCHING_RUNS[command]
+        inp, out = tmp_path / "in.txt", tmp_path / "out.csv"
+        if snapshots:
+            run(["synth", "--out", str(inp), "--snapshots", str(snapshots)] + SYNTH_ARGS)
+        argv = [{"IN": str(inp), "OUT": str(out)}.get(a, a) for a in argv]
+        counts = []
+        for cap in (solver.NODE_CAP, 1):
+            monkeypatch.setattr(solver, "NODE_CAP", cap)
+            caplog.clear()
+            run(argv)
+            warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+            counts.append(len(warnings))
+            assert all("node cap" in r.getMessage() for r in warnings)
+            if command == "sweep":
+                meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+                assert meta["params"]["node_cap_predictions"] == len(warnings)
+        assert counts == [0, 1]
 
 
 class TestCrossProcess:
@@ -390,6 +429,8 @@ class TestSidecar:
         params = dict(meta["params"])
         diagnostics = params.pop("diagnostics", None)
         assert (diagnostics is not None) == (command == "predict")
+        capped = params.pop("node_cap_predictions", None)
+        assert (capped is not None) == (command == "sweep")
         expected = {k: v for k, v in flags.items() if k not in ("command", "config", "out", "seed")}
         assert params == expected
         for name, value in LIST_FLAGS.get(command, {}).items():

@@ -78,6 +78,8 @@ class TestPredict:
         result = predict(GraphSeries([g] * 6), PredictParams())
         assert result.diagnostics["nodes_explored"] == 1
         assert result.diagnostics["ilp_status"] == "optimal"
+        # each vertex's bound admits both its edges, so all three are fixed at 1
+        assert result.diagnostics["forced_columns"] == 3
         assert len(calls) == 1
 
     def test_no_growth_means_no_attachment_edges(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from graphforecast import solver
 from graphforecast.constraints import ConstraintSystem
@@ -42,6 +43,29 @@ def enumerate_subsets(cs):
             if obj > best[0] + 1e-12:
                 best = (obj, x)
     return best
+
+
+def floored(cs):
+    return np.floor(cs.upper_bounds + 1e-6)
+
+
+def optimal_subsets(cs):
+    """Every subset within 1e-9 of the best objective at the floored bounds, plain Python."""
+    bounds = floored(cs).tolist()
+    ends = cs.endpoint_rows.tolist()
+    weights = cs.objective.tolist()
+    scored = []
+    for x in itertools.product((0, 1), repeat=cs.n_cols):
+        act = [0] * cs.n_rows
+        for j, (a, b) in enumerate(ends):
+            if x[j]:
+                act[a] += 1
+                act[b] += 1
+                act[-1] += 1
+        if all(act[r] <= bounds[r] for r in range(cs.n_rows)):
+            scored.append((sum(w for w, xj in zip(weights, x) if xj), x))
+    best = max(obj for obj, _ in scored)
+    return [x for obj, x in scored if obj >= best - 1e-9]
 
 
 def random_system(rng):
@@ -107,6 +131,37 @@ class TestSolveLp:
         cs = make_system([[0, 1]], [1.0, 1.0, 1.0], [-1.0])
         with pytest.raises(ValueError):
             solve_lp(cs)
+
+
+class TestForced:
+    def test_dominated_columns_are_forced(self):
+        # rows 0 and 1 admit both their weight-1 columns; row 3 admits one of two
+        cs = make_system(
+            [[0, 1], [1, 2], [3, 4], [3, 5], [0, 2]],
+            [2, 2, 2, 1, 1, 1, 9],
+            [1.0, 1.0, 1.0, 1.0, 1e-3],
+        )
+        assert solver._forced(cs, floored(cs)).tolist() == [True, True, False, False, False]
+        assert solve_ilp(cs).forced_columns == 2
+
+    # each system has an optimum without some weight-1 column, so forcing it would be wrong
+    @pytest.mark.parametrize(
+        "endpoints, bounds, coeffs",
+        [
+            # the other weight is not below half the top weight: 0.5 + 0.5 ties with 1
+            ([[0, 1], [0, 2], [1, 3]], [1, 1, 1, 1, 9], [1.0, 0.5, 0.5]),
+            # the total row admits one of the two weight-1 columns
+            ([[0, 1], [2, 3]], [1, 1, 1, 1, 1], [1.0, 1.0]),
+            # row 0 admits one of its two weight-1 columns
+            ([[0, 1], [0, 2]], [1, 1, 1, 9], [1.0, 1.0]),
+        ],
+        ids=["heavy-alpha", "total-row", "endpoint-row"],
+    )
+    def test_nothing_is_forced(self, endpoints, bounds, coeffs):
+        cs = make_system(endpoints, bounds, coeffs)
+        assert not solver._forced(cs, floored(cs)).any()
+        assert any(not all(x) for x in optimal_subsets(cs))
+        assert solve_ilp(cs).forced_columns == 0
 
 
 class TestSolveIlp:
@@ -277,6 +332,26 @@ class TestSolverProperties:
         assert (cs.matrix() @ ilp.values <= floored).all()
         assert set(ilp.values.tolist()) <= {0, 1}
         assert solve_lp(cs).objective >= ilp.objective - 1e-9
+
+    @settings(derandomize=True, deadline=None)
+    @given(small_systems())
+    def test_every_optimum_holds_the_forced_columns(self, cs):
+        forced = np.flatnonzero(solver._forced(cs, floored(cs)))
+        for x in optimal_subsets(cs):
+            assert all(x[j] for j in forced)
+        assert solve_ilp(cs).forced_columns == len(forced)
+
+    @settings(derandomize=True, deadline=None)
+    @given(small_systems())
+    def test_lp_matches_the_unreduced_relaxation(self, cs):
+        expected = 0.0
+        if cs.n_cols:
+            res = linprog(
+                -cs.objective, A_ub=cs.matrix(), b_ub=floored(cs), bounds=(0, 1), method="highs"
+            )
+            assert res.status == 0
+            expected = -res.fun
+        assert solve_lp(cs).objective == pytest.approx(expected, abs=1e-9)
 
     @settings(derandomize=True, deadline=None)
     @given(small_systems())
