@@ -49,13 +49,19 @@ class PredictedGraph:
     diagnostics: dict = field(default_factory=dict)
 
 
-def predict(series: GraphSeries, params: PredictParams) -> PredictedGraph:
-    """Predict the snapshot at T + params.h from a training series of length T."""
+def predict(
+    series: GraphSeries, params: PredictParams, *, model: solver.LpModel | None = None
+) -> PredictedGraph:
+    """Predict the snapshot at T + params.h from a training series of length T.
+
+    The LPs are solved on ``model``; by default a new one, so a lone
+    prediction is a cold solve that depends on no earlier one.
+    """
     if len(series) < 4:
         raise ValueError(f"prediction needs at least 4 snapshots, got {len(series)}")
     H = build_hypothetical(series, params.h, params.gamma, params.k)
     cs = constraints.assemble(series, H, params.h, params.u, params.alpha)
-    ilp = solver.solve_ilp(cs)
+    ilp = solver.solve_ilp(cs, model)
     if ilp.status == "node_cap":
         log.warning(
             "prediction at gamma=%g, u=%g, h=%d stopped at the branch-and-bound node cap "
@@ -77,6 +83,8 @@ def predict(series: GraphSeries, params: PredictParams) -> PredictedGraph:
             "nodes_explored": ilp.nodes_explored,
             "ilp_status": ilp.status,
             "forced_columns": ilp.forced_columns,
+            "simplex_iterations": ilp.simplex_iterations,
+            "lp_iteration_limit_nodes": ilp.lp_iteration_limit_nodes,
         },
     )
 
@@ -89,8 +97,15 @@ def predict_distribution(
 ) -> list[PredictedGraph]:
     """Predictions for every (gamma, u) pair, in row-major order over the grid.
 
-    Each cell is ``base`` with its gamma and u replaced.
+    Each cell is ``base`` with its gamma and u replaced.  The cells share one
+    LP model.  The u cells of a gamma have the same candidate columns (so do
+    the gammas that forecast the same vertex count), so each of their root
+    LPs starts from the previous cell's last basis and only bounds change; a
+    cell with other columns rebuilds the model and solves cold.
     """
     if not gammas or not us:
         raise ValueError("gammas and us must be non-empty")
-    return [predict(series, replace(base, gamma=g, u=u)) for g in gammas for u in us]
+    model = solver.LpModel()
+    return [
+        predict(series, replace(base, gamma=g, u=u), model=model) for g in gammas for u in us
+    ]

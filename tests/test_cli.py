@@ -161,11 +161,12 @@ class TestSweep:
 
 
 # runs with exactly one prediction whose root LP is fractional, so its search
-# branches; (snapshots of the synthetic input or None, argv)
+# branches; (snapshots of the synthetic input or None, argv).  The sweep's
+# branching cell comes first: the later u cell starts from its basis
 SYNTH_ARGS = ["--s", "2", "--s0", "3", "--base", "0", "--step", "4", "--width", "1", "--seed", "10"]
 BRANCHING_RUNS = {
     "sweep": (5, ["sweep", "--input", "IN", "--out", "OUT", "--granularity", "ticks:1",
-                  "--gammas", "0.5", "--us", "0.8,0.95", "--k", "3"]),
+                  "--gammas", "0.5", "--us", "0.95,0.8", "--k", "3"]),
     "eval-real": (6, ["eval-real", "--input", "IN", "--out", "OUT", "--granularity", "ticks:1",
                       "--Ts", "5", "--horizons", "1", "--window", "5", "--u", "0.95", "--k", "3"]),
     "eval-synth": (None, ["eval-synth", "--out", "OUT", "--runs", "1", "--T", "5",

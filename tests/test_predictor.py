@@ -66,21 +66,28 @@ class TestPredict:
             assert result.diagnostics["ilp_objective"] == oracle.objective
 
     def test_one_node_prediction_solves_one_lp(self, monkeypatch):
-        calls = []
-        lp_values = solver._lp_values
+        runs = []
 
-        def counted(*args):
-            calls.append(args)
-            return lp_values(*args)
+        class Counted(solver._Highs):
+            def run(self):
+                runs.append(self)
+                return super().run()
 
-        monkeypatch.setattr(solver, "_lp_values", counted)
+        monkeypatch.setattr(solver, "_Highs", Counted)
         g = Graph([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
         result = predict(GraphSeries([g] * 6), PredictParams())
         assert result.diagnostics["nodes_explored"] == 1
         assert result.diagnostics["ilp_status"] == "optimal"
         # each vertex's bound admits both its edges, so all three are fixed at 1
+        # and no column is left for HiGHS
         assert result.diagnostics["forced_columns"] == 3
-        assert len(calls) == 1
+        assert result.diagnostics["simplex_iterations"] == 0
+        assert runs == []
+        # a one-node search with free columns runs HiGHS once, for the root
+        result = predict(small_pa_series(1).window(1, 7), PredictParams())
+        assert result.diagnostics["nodes_explored"] == 1
+        assert result.diagnostics["simplex_iterations"] > 0
+        assert len(runs) == 1
 
     def test_no_growth_means_no_attachment_edges(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3)])
@@ -163,6 +170,23 @@ class TestPredictDistribution:
             )
             counts = [p.graph.edge_count for p in grid]
             assert counts == sorted(counts)
+
+    def test_cells_match_lone_predictions(self):
+        # the u cells of a gamma share an LP model, so each root starts from the
+        # previous cell's basis; a lone predict solves cold.  Cell (0.5, 0.8) branches
+        series = small_pa_series(5).window(1, 7)
+        grid = predict_distribution(series, [0.2, 0.5, 0.8], [0.5, 0.8, 0.95])
+        assert max(p.diagnostics["nodes_explored"] for p in grid) > 1
+        for cell in grid:
+            lone = predict(series, cell.params)
+            for key in ("ilp_objective", "n_hat"):
+                assert cell.diagnostics[key] == lone.diagnostics[key], key
+            # another optimal vertex of the same LP can sum to its objective in
+            # another order (40.005 against 40.004999999999995)
+            assert cell.diagnostics["lp_objective"] == pytest.approx(
+                lone.diagnostics["lp_objective"], rel=1e-12
+            )
+            assert cell.graph.edge_count == lone.graph.edge_count
 
     def test_empty_grid_rejected(self):
         series = small_pa_series(0).window(1, 7)

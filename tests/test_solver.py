@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -271,6 +274,64 @@ class TestSolveIlp:
         assert a.objective == b.objective
 
 
+class TestIterationLimit:
+    # rows 0, 2 and 3 admit nothing; rounding the root's LP values down and
+    # completing greedily reaches 1.0, the optimum is 1.001
+    ENDPOINTS = [[4, 5], [0, 1], [0, 3], [1, 5], [2, 4], [2, 3], [1, 4], [0, 4]]
+    BOUNDS = [0, 3, 0, 0, 1, 1, 2]
+    COEFFS = [1.0, 1e-3, 1e-3, 1e-3, 1.0, 1e-3, 1.0, 1.0]
+
+    @pytest.fixture
+    def limited(self, monkeypatch):
+        monkeypatch.setattr(
+            solver, "_HIGHS_OPTIONS", {**solver._HIGHS_OPTIONS, "simplex_iteration_limit": 0}
+        )
+        return make_system(self.ENDPOINTS, self.BOUNDS, self.COEFFS)
+
+    def test_root_reports_the_limit(self, limited):
+        sol = solve_lp(limited)
+        assert sol.status is LpStatus.ITERATION_LIMIT
+        assert sol.values.tolist() == [0.0] * limited.n_cols
+
+    def test_search_stays_exact_on_the_trivial_bound(self, limited, monkeypatch):
+        best = brute_force(limited).objective
+        statuses = []
+        solve = solver.LpModel.solve
+
+        def recorded(self, *args):
+            out = solve(self, *args)
+            statuses.append(out[1])
+            return out
+
+        monkeypatch.setattr(solver.LpModel, "solve", recorded)
+        ilp = solve_ilp(limited)
+        assert ilp.objective == best == 1.001
+        assert ilp.nodes_explored > 1
+        assert ilp.lp_iteration_limit_nodes == statuses.count(LpStatus.ITERATION_LIMIT) > 0
+
+    def test_other_statuses_raise(self, monkeypatch):
+        monkeypatch.setattr(solver, "_HIGHS_OPTIONS", {**solver._HIGHS_OPTIONS, "time_limit": 0.0})
+        with pytest.raises(RuntimeError, match="Time limit reached"):
+            solve_lp(triangle_system())
+
+
+def test_import_names_the_scipy_it_needs():
+    # scipy releases without the bundled HiGHS binding cannot run the solver
+    code = (
+        "import sys; sys.modules['scipy.optimize._highspy._core'] = None\n"
+        "try:\n    import graphforecast.solver\n"
+        "except ImportError as exc:\n    print(exc)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip().splitlines() == [
+        "graphforecast.solver needs scipy >= 1.17 for its HiGHS binding "
+        "(scipy.optimize._highspy._core)"
+    ]
+
+
 class TestBruteForce:
     def test_matches_plain_enumeration(self):
         rng = np.random.default_rng(13)
@@ -359,3 +420,48 @@ class TestSolverProperties:
         ilp = solve_ilp(cs)
         assert ilp.lp_objective == solve_lp(cs).objective
         assert ilp.lp_objective >= ilp.objective - 1e-9
+
+
+@st.composite
+def rebounded_systems(draw):
+    """A system, then new row bounds and column fixings that leave it feasible."""
+    cs = draw(small_systems())
+    C = cs.n_cols
+    rows = np.array(draw(st.lists(st.integers(0, 4), min_size=cs.n_rows, max_size=cs.n_rows)), float)
+    upper = np.array(draw(st.lists(st.booleans(), min_size=C, max_size=C)), dtype=bool)
+    lower = upper & np.array(draw(st.lists(st.booleans(), min_size=C, max_size=C)), dtype=bool)
+    return cs, np.maximum(rows, cs.matrix() @ lower), lower, upper
+
+
+class TestWarmStart:
+    @settings(derandomize=True, deadline=None)
+    @given(rebounded_systems())
+    def test_warm_resolve_matches_a_cold_solve(self, drawn):
+        cs, rows, lower, upper = drawn
+        c = cs.objective
+        model = solver.LpModel()
+        solve_lp(cs, model)  # leaves the root's basis in the model
+        warm, warm_status, _ = model.solve(cs, rows, lower, upper)
+        cold, cold_status, _ = solver.LpModel().solve(cs, rows, lower, upper)
+        assert warm_status is cold_status is LpStatus.OPTIMAL
+        assert c @ warm == pytest.approx(c @ cold, abs=1e-9)
+        assert (cs.matrix() @ warm <= rows + 1e-6).all()
+        assert (warm >= lower - 1e-9).all() and (warm <= upper + 1e-9).all()
+
+    def test_shared_model_matches_cold_solves(self):
+        # the same columns under growing, then shrinking bounds, as in
+        # predict_distribution's u cells and the next gamma's first cell
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            cs = random_system(rng)
+            model = solver.LpModel()
+            for scale in (0.5, 1.0, 2.0, 0.25):
+                grown = ConstraintSystem(
+                    row_vertices=cs.row_vertices,
+                    endpoint_rows=cs.endpoint_rows,
+                    upper_bounds=cs.upper_bounds * scale,
+                    objective=cs.objective,
+                )
+                shared = solve_ilp(grown, model)
+                assert shared.objective == solve_ilp(grown).objective
+                assert shared.lp_objective == pytest.approx(solve_lp(grown).objective, abs=1e-9)
