@@ -13,6 +13,7 @@ appended for the total-edge constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -44,7 +45,14 @@ class ConstraintSystem:
         return len(self.objective)
 
     def matrix(self) -> sparse.csc_array:
-        """M as a sparse (rows, cols) array, the all-ones row included."""
+        """M as a sparse (rows, cols) array, the all-ones row included.
+
+        Built once per system; the root LP, its model and branch and bound share it.
+        """
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> sparse.csc_array:
         C = self.n_cols
         rows = np.column_stack(
             [np.sort(self.endpoint_rows, axis=1), np.full(C, self.n_rows - 1)]

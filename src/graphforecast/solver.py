@@ -225,7 +225,10 @@ def solve_lp(cs: ConstraintSystem, model: LpModel | None = None) -> LpSolution:
     the unreduced relaxation's) and holds at 0 the columns no binary
     selection can then take, so its objective bounds every selection
     solve_ilp and brute_force can return.  It solves on ``model`` (a new,
-    cold one by default), whose basis the next solve starts from.
+    cold one by default), whose basis the next solve starts from.  When
+    HiGHS stops at its iteration limit, the values are the fixings and the
+    objective is the trivial bound, the weight of the forced and the
+    selectable columns.
     """
     cs.validate()
     f = _floored_bounds(cs)
@@ -234,7 +237,13 @@ def solve_lp(cs: ConstraintSystem, model: LpModel | None = None) -> LpSolution:
     model = LpModel() if model is None else model
     x, status, iterations = model.solve(cs, f, forced, forced | free)
     c = cs.objective.astype(float)
-    return LpSolution(values=x, objective=float(c @ x), status=status, iterations=iterations)
+    if status is LpStatus.ITERATION_LIMIT:
+        # no LP optimum to report: the weight of every column a selection may
+        # take, solve_ilp's bound at such a node, still bounds every selection
+        objective = selection_objective(c, forced) + float(c[free].sum())
+    else:
+        objective = float(c @ x)
+    return LpSolution(values=x, objective=objective, status=status, iterations=iterations)
 
 
 def _min_improvement(c: np.ndarray) -> float:

@@ -30,6 +30,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg.blas import dtrsm
 from scipy.special import ndtri
 
@@ -186,6 +187,16 @@ def _hannan_rissanen_start(w: np.ndarray, p: int, q: int) -> np.ndarray:
     return beta2
 
 
+@lru_cache(maxsize=None)
+def _band(m: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m x m identity, the flat indices of its sub-diagonals 1..q and their lengths."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    lengths = np.array([max(m - 1 - j, 0) for j in range(q)])
+    flat = np.concatenate([(j + 1) * m + (m + 1) * np.arange(n) for j, n in enumerate(lengths)])
+    return eye, flat, lengths
+
+
 def _css_residuals(yX: np.ndarray, params: np.ndarray, q: int):
     """CSS residuals e = L(theta)^-1 (y - X beta) of one parameter vector.
 
@@ -194,9 +205,9 @@ def _css_residuals(yX: np.ndarray, params: np.ndarray, q: int):
     """
     k = yX.shape[1] - 1
     if q:
-        L = np.eye(len(yX))
-        for j in range(q):
-            np.fill_diagonal(L[j + 1 :], params[k + j])
+        eye, flat, lengths = _band(len(yX), q)
+        L = eye.copy()
+        L.ravel()[flat] = params[k:].repeat(lengths)
         # BLAS trsm rather than scipy.linalg.solve_triangular, whose LAPACK trtrs
         # OpenBLAS threads even at this size: on a 2-core host with the other
         # core busy a 14 x 14 solve took 2.5 ms that way and 3 us this way
@@ -222,27 +233,58 @@ def _css_jacobian(e: np.ndarray, L, LinvX: np.ndarray, q: int) -> np.ndarray:
     return J
 
 
-def _step_limit(x: np.ndarray, dx: np.ndarray) -> float:
+def _abs_sum(values) -> float:
+    """sum |v| added left to right, as numpy adds arrays of fewer than 8 entries.
+
+    Not the builtin sum, which compensates rounding from Python 3.12 on.
+    """
+    total = 0.0
+    for v in values:
+        total += abs(v)
+    return total
+
+
+def _step_limit(x: list[float], dx: list[float]) -> float:
     """Largest t in [0, 1] that keeps sum|x + t dx| within the region.
 
     The limit sits a hair inside _REGION_LIMIT, so rounding never leaves the
     region, or at sum|x| if x is already past it by rounding.
     sum|x + t dx| is convex and piecewise linear in t, with a breakpoint
     wherever a coordinate crosses zero; the crossing of the limit is
-    interpolated on the first segment that ends above it.
+    interpolated on the first segment that ends above it.  A block holds at
+    most 5 entries, so Python floats cost less here than numpy calls.
     """
-    t0, f0 = 0.0, float(np.abs(x).sum())
+    t0, f0 = 0.0, _abs_sum(x)
     limit = max(_REGION_INNER, f0)
-    if float(np.abs(x + dx).sum()) <= limit:
+    if _abs_sum([a + b for a, b in zip(x, dx)]) <= limit:
         return 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = -x / dx
-    for t1 in np.append(np.sort(roots[(roots > 0.0) & (roots < 1.0)]), 1.0):
-        f1 = float(np.abs(x + t1 * dx).sum())
+    roots = sorted(r for r in (-a / b for a, b in zip(x, dx) if b != 0.0) if 0.0 < r < 1.0)
+    for t1 in roots + [1.0]:
+        f1 = _abs_sum([a + t1 * b for a, b in zip(x, dx)])
         if f1 > limit:
             break
         t0, f0 = t1, f1
     return max(t0 + (limit - f0) * (t1 - t0) / (f1 - f0), 0.0)
+
+
+def _solve(M: np.ndarray, g: np.ndarray, free: np.ndarray | None = None):
+    """h solving M h = -g for the free parameters (all by default), 0 for the others.
+
+    None when M is singular.
+    """
+    A, b = (M, -g) if free is None else (M[np.ix_(free, free)], -g[free])
+    # LAPACK gesv through numpy's own kernel: np.linalg.solve's checks cost 5 us around
+    # its 1.5 us solve, and scipy's dgesv links another OpenBLAS, which rounds differently
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            x = _umath_linalg.solve1(A, b)
+        except FloatingPointError:
+            return None  # the kernel flags a singular system as invalid
+    if free is None:
+        return x
+    h = np.zeros_like(g)
+    h[free] = x
+    return h
 
 
 def _damped_step(M: np.ndarray, g: np.ndarray, params: np.ndarray, blocks) -> np.ndarray:
@@ -252,19 +294,19 @@ def _damped_step(M: np.ndarray, g: np.ndarray, params: np.ndarray, blocks) -> np
     where it is, and the step re-solved for the other parameters.  The step
     is then scaled by the largest t in (0, 1] that keeps every block inside.
     """
-    free = np.ones(len(g), dtype=bool)
-    while True:
-        step = np.zeros_like(g)
-        try:
-            step[free] = np.linalg.solve(M if free.all() else M[np.ix_(free, free)], -g[free])
-        except np.linalg.LinAlgError:
-            return step  # rejected like any step that does not lower the RSS
-        limits = [_step_limit(params[b], step[b]) for b in blocks]
+    x = params.tolist()
+    free = None  # every parameter, until a block is held
+    while (step := _solve(M, g, free)) is not None:
+        dx = step.tolist()
+        limits = [_step_limit(x[b], dx[b]) for b in blocks]
         if all(limits):
             return min(limits, default=1.0) * step
+        if free is None:
+            free = np.ones(len(g), dtype=bool)
         for b, t in zip(blocks, limits):
             if t == 0.0:
                 free[b] = False
+    return np.zeros_like(g)  # M is singular: rejected like any step that does not lower the RSS
 
 
 def _lm_fit(w: np.ndarray, p: int, q: int, params: np.ndarray):
@@ -286,8 +328,10 @@ def _lm_fit(w: np.ndarray, p: int, q: int, params: np.ndarray):
             J = _css_jacobian(e, L, LinvX, q)
             A, g = J.T @ J, J.T @ e
             diag = A.diagonal()
-            scale = np.diag(np.maximum(diag, 1e-12 * diag.max()))
-        h = _damped_step(A + damping * scale, g, params, blocks)
+            scale = np.maximum(diag, 1e-12 * diag.max())
+        damped = A.copy()
+        damped.ravel()[:: len(diag) + 1] = diag + damping * scale
+        h = _damped_step(damped, g, params, blocks)
         e1, L1, LinvX1 = _css_residuals(yX, params + h, q)
         rss1 = float(e1 @ e1)
         if rss1 < rss:

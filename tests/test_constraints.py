@@ -144,6 +144,11 @@ class TestAssemble:
         dense = cs.matrix().toarray()
         assert (dense[:-1, :].sum(axis=0) == 2.0).all()
 
+    def test_matrix_is_built_once(self):
+        series = constant_series(path_graph([0, 1, 2]))
+        cs = constraints.assemble(series, build_hypothetical(series, 1, 0.5, 2), 1, 0.8, 1e-3)
+        assert cs.matrix() is cs.matrix()
+
     def test_matches_incidence_matrix_up_to_column_order(self):
         series = constant_series(path_graph([0, 1, 2, 3]))
         H = build_hypothetical(series, 1, 0.5, 2)

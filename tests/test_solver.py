@@ -306,6 +306,7 @@ class TestIterationLimit:
         monkeypatch.setattr(solver.LpModel, "solve", recorded)
         ilp = solve_ilp(limited)
         assert ilp.objective == best == 1.001
+        assert ilp.lp_objective >= ilp.objective
         assert ilp.nodes_explored > 1
         assert ilp.lp_iteration_limit_nodes == statuses.count(LpStatus.ITERATION_LIMIT) > 0
 

@@ -95,6 +95,84 @@ def forecast_reference(fit_, series, h):
     return ts.Forecast(tuple(fc), tuple(float(s) for s in std_errs))
 
 
+def step_limit_reference(x, dx):
+    """The step limit on numpy arrays, as the bit-for-bit oracle for the Python-float kernel."""
+    t0, f0 = 0.0, float(np.abs(x).sum())
+    limit = max(ts._REGION_INNER, f0)
+    if float(np.abs(x + dx).sum()) <= limit:
+        return 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = -x / dx
+    for t1 in np.append(np.sort(roots[(roots > 0.0) & (roots < 1.0)]), 1.0):
+        f1 = float(np.abs(x + t1 * dx).sum())
+        if f1 > limit:
+            break
+        t0, f0 = t1, f1
+    return max(t0 + (limit - f0) * (t1 - t0) / (f1 - f0), 0.0)
+
+
+def damped_step_reference(M, g, params, blocks):
+    """The damped step through np.linalg.solve, as the bit-for-bit oracle for the kernel."""
+    free = np.ones(len(g), dtype=bool)
+    while True:
+        step = np.zeros_like(g)
+        try:
+            step[free] = np.linalg.solve(M if free.all() else M[np.ix_(free, free)], -g[free])
+        except np.linalg.LinAlgError:
+            return step
+        limits = [step_limit_reference(params[b], step[b]) for b in blocks]
+        if all(limits):
+            return min(limits, default=1.0) * step
+        for b, t in zip(blocks, limits):
+            if t == 0.0:
+                free[b] = False
+
+
+def region_block(draw, size):
+    """size coefficients inside the region, on its edge, or just past it by rounding."""
+    coeff = st.floats(-1, 1, allow_subnormal=False)
+    x = np.array(draw(st.lists(coeff, min_size=size, max_size=size)))
+    total = np.abs(x).sum()
+    where = draw(st.sampled_from(["inside", "edge", "past"]))
+    if total == 0.0 or where == "inside":
+        return x * 0.9
+    x *= ts._REGION_INNER / total
+    return x if where == "edge" else x * (1.0 + 1e-12)
+
+
+@st.composite
+def step_limit_problems(draw):
+    """A block of 1-5 coefficients and a step with some zero entries."""
+    size = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0.0), st.floats(-2, 2, allow_subnormal=False))
+    dx = draw(st.lists(entry, min_size=size, max_size=size))
+    return region_block(draw, size), np.array(dx)
+
+
+@st.composite
+def damped_step_problems(draw):
+    """A damped normal system over an intercept and AR and MA blocks of 0-5 entries.
+
+    Blocks on the region's edge make the step hold them; a zero column of J
+    makes the system singular.
+    """
+    p = draw(st.integers(0, 5))
+    q = draw(st.integers(0 if p else 1, 5))
+    k = 1 + p + q
+    entries = st.lists(st.floats(-5, 5), min_size=(k + 2) * k, max_size=(k + 2) * k)
+    J = np.array(draw(entries)).reshape(k + 2, k)
+    if draw(st.booleans()):
+        J[:, draw(st.integers(0, k - 1))] = 0.0
+    A = J.T @ J
+    damping = draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    M = A + damping * np.diag(A.diagonal())
+    g = np.array(draw(st.lists(st.floats(-5, 5), min_size=k, max_size=k)))
+    intercept = [draw(st.floats(-5, 5))]
+    params = np.concatenate([intercept] + [region_block(draw, n) for n in (p, q) if n])
+    blocks = [b for b in (slice(1, 1 + p), slice(1 + p, k)) if b.stop > b.start]
+    return M, g, params, blocks
+
+
 @st.composite
 def css_problems(draw):
     """A series of length 6-20 with p, q <= 3 and a parameter vector in the region."""
@@ -165,6 +243,47 @@ class TestCssKernel:
             diff = (ts._css_residuals(yX, up, q)[0] - ts._css_residuals(yX, down, q)[0]) / (2 * h)
             scale = 1.0 + np.abs(J[:, c]).max()
             assert np.abs(diff - J[:, c]).max() <= 1e-6 * scale
+
+
+class TestLmKernel:
+    """The Python-float step kernel gives the numpy one's bits."""
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(step_limit_problems())
+    def test_step_limit_matches_numpy(self, problem):
+        x, dx = problem
+        assert ts._step_limit(x.tolist(), dx.tolist()) == step_limit_reference(x, dx)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(damped_step_problems())
+    def test_damped_step_matches_numpy(self, problem):
+        M, g, params, blocks = problem
+        step = ts._damped_step(M, g, params, blocks)
+        assert step.tobytes() == damped_step_reference(M, g, params, blocks).tobytes()
+
+    @pytest.mark.parametrize(
+        "M, expected",
+        [(np.eye(3), [1.0, 0.0, 0.5]), (np.zeros((3, 3)), [0.0, 0.0, 0.0])],
+        ids=["held", "singular"],
+    )
+    def test_held_and_singular_steps(self, M, expected):
+        # the AR block sits on the region's edge and the step pushes it out
+        params, g = np.array([0.0, ts._REGION_INNER, 0.0]), np.array([-1.0, -1.0, -0.5])
+        blocks = [slice(1, 2), slice(2, 3)]
+        step = ts._damped_step(M, g, params, blocks)
+        assert step.tolist() == expected
+        assert step.tobytes() == damped_step_reference(M, g, params, blocks).tobytes()
+
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_band_matches_fill_diagonal(self, q):
+        rng = np.random.default_rng(q)
+        for m in range(q + 3, 16):
+            params = rng.standard_normal(1 + q)
+            L = ts._css_residuals(np.ones((m, 2)), params, q)[1]
+            ref = np.eye(m)
+            for j in range(q):
+                np.fill_diagonal(ref[j + 1 :], params[1 + j])
+            assert L.tobytes() == ref.tobytes()
 
 
 class TestSeries:
