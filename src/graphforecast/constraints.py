@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from . import timeseries
 from .candidates import HypotheticalGraph, Provenance
@@ -28,7 +27,9 @@ class ConstraintSystem:
     """max objective . x  subject to  0 <= Mx <= upper_bounds, x binary.
 
     M has one row per vertex (two 1-entries per column) plus a final all-ones
-    row; column j corresponds to the hypothetical graph's candidates[j].
+    row; column j corresponds to the hypothetical graph's candidates[j].  M is
+    never formed: endpoint_rows determines it, and column_rows, activity and
+    columns give it in the forms the solver uses.
     """
 
     row_vertices: tuple[int, ...]
@@ -44,22 +45,33 @@ class ConstraintSystem:
     def n_cols(self) -> int:
         return len(self.objective)
 
-    def matrix(self) -> sparse.csc_array:
-        """M as a sparse (rows, cols) array, the all-ones row included.
-
-        Built once per system; the root LP, its model and branch and bound share it.
-        """
-        return self._matrix
-
     @cached_property
-    def _matrix(self) -> sparse.csc_array:
+    def column_rows(self) -> np.ndarray:
+        """(cols, 3) rows of each column's three 1-entries, ascending.
+
+        The column's two endpoint rows, sorted, then the total-edge row: M in
+        compressed-column form, whose entries are all 1.  Built once per
+        system; the root LP, its model and branch and bound share it.
+        """
         C = self.n_cols
-        rows = np.column_stack(
+        return np.column_stack(
             [np.sort(self.endpoint_rows, axis=1), np.full(C, self.n_rows - 1)]
         )
-        return sparse.csc_array(
-            (np.ones(3 * C), rows.ravel(), np.arange(0, 3 * C + 1, 3)),
-            shape=(self.n_rows, C),
+
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """M @ x: each row's sum of x over its columns, added in column order."""
+        return np.bincount(
+            self.column_rows.ravel(), weights=np.repeat(x, 3), minlength=self.n_rows
+        )
+
+    def columns(self, cols: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """M[:, cols] in compressed-column form: entry count, column starts, rows, values."""
+        n = len(cols)
+        return (
+            3 * n,
+            np.arange(0, 3 * n, 3, dtype=np.int32),
+            self.column_rows[cols].ravel().astype(np.int32),
+            np.ones(3 * n),
         )
 
     def validate(self) -> None:

@@ -37,15 +37,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _extensions
+from .constraints import ConstraintSystem
+
 try:
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
+    _core = _extensions.load("scipy.optimize._highspy._core")
 except ImportError:
     raise ImportError(
         "graphforecast.solver needs scipy >= 1.17 for its HiGHS binding "
         "(scipy.optimize._highspy._core)"
     ) from None
 
-from .constraints import ConstraintSystem
+HighsModelStatus, _Highs, kHighsInf = _core.HighsModelStatus, _core._Highs, _core.kHighsInf
 
 FEAS_TOL = 1e-6
 INT_TOL = 1e-6
@@ -145,12 +148,13 @@ class LpModel:
         changed = np.flatnonzero((lo != self._lower) | (up != self._upper))
         if changed.size:
             self._highs.changeColsBounds(changed.size, changed.astype(np.int32), lo[changed], up[changed])
-        added = np.setdiff1d(np.flatnonzero(upper), held)
+        addable = upper != 0
+        addable[held] = False
+        added = np.flatnonzero(addable)
         if added.size:
-            A = cs.matrix()[:, added]
             self._highs.addCols(
                 added.size, -cs.objective[added].astype(float), lower[added], upper[added],
-                A.nnz, A.indptr[:-1].astype(np.int32), A.indices.astype(np.int32), A.data,
+                *cs.columns(added),
             )  # HiGHS minimises
             held = self._held = np.concatenate([held, added])
         self._rows, self._lower, self._upper = f, lower[held], upper[held]
@@ -233,7 +237,7 @@ def solve_lp(cs: ConstraintSystem, model: LpModel | None = None) -> LpSolution:
     cs.validate()
     f = _floored_bounds(cs)
     forced = _forced(cs, f)
-    free = ~forced & _selectable(cs, f - cs.matrix() @ forced)
+    free = ~forced & _selectable(cs, f - cs.activity(forced))
     model = LpModel() if model is None else model
     x, status, iterations = model.solve(cs, f, forced, forced | free)
     c = cs.objective.astype(float)
@@ -254,14 +258,13 @@ def _min_improvement(c: np.ndarray) -> float:
     spacing, which licenses far more aggressive pruning than the generic
     float tolerance.
     """
-    vals = np.unique(c)
-    vals = vals[vals > 0]
+    vals = sorted(set(c[c > 0].tolist()))
     if len(vals) == 1:
-        return float(vals[0])
+        return vals[0]
     if len(vals) == 2:
         ratio = vals[1] / vals[0]
         if abs(ratio - round(ratio)) < 1e-9:
-            return float(vals[0])
+            return vals[0]
     return PRUNE_TOL
 
 
@@ -298,7 +301,6 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
             simplex_iterations=0,
             lp_iteration_limit_nodes=0,
         )
-    M = cs.matrix()
     eA = cs.endpoint_rows[:, 0]
     eB = cs.endpoint_rows[:, 1]
     R = cs.n_rows
@@ -317,7 +319,7 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
 
     def greedy_complete(mask: np.ndarray, free_idx: np.ndarray) -> None:
         """Extend a feasible selection in place by free columns, best weight first."""
-        cap = f - M @ mask
+        cap = f - cs.activity(mask)
         todo = free_idx[~mask[free_idx]]
         for j in todo[np.lexsort((todo, -c[todo]))]:
             a, b = eA[j], eB[j]
@@ -345,7 +347,7 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
         fix0, fix1, basis = stack.pop()
         nodes += 1
 
-        f_red = f - M @ fix1
+        f_red = f - cs.activity(fix1)
         if (f_red < -1e-9).any():
             continue
         obj_offset = selection_objective(c, fix1)
@@ -377,7 +379,7 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
         # fractional remainder
         mask = fix1.copy()
         mask[free_idx[x_f > 1.0 - INT_TOL]] = True
-        if (M @ mask <= f + FEAS_TOL).all():
+        if (cs.activity(mask) <= f + FEAS_TOL).all():
             greedy_complete(mask, free_idx)
             cand_obj = selection_objective(c, mask)
             if cand_obj > inc_obj + 1e-12:
@@ -426,7 +428,8 @@ def brute_force(cs: ConstraintSystem) -> IlpSolution:
     C = cs.n_cols
     if C > 25:
         raise ValueError(f"brute force limited to 25 columns, got {C}")
-    dense = cs.matrix().toarray()
+    dense = np.zeros((cs.n_rows, C))
+    dense[cs.column_rows, np.arange(C)[:, None]] = 1.0
     f = cs.upper_bounds.astype(float)
     c = cs.objective.astype(float)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import os
 import subprocess
 import sys
 
@@ -471,3 +472,61 @@ class TestStartup:
             [sys.executable, "-c", probe], check=True, capture_output=True, text=True
         )
         assert out.stdout.strip() == "False"
+
+    @staticmethod
+    def probe(code, *args):
+        """The standard output of ``code`` run in a fresh interpreter."""
+        return subprocess.run(
+            [sys.executable, "-c", code, *args], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout.strip()
+
+    def test_cli_import_leaves_out_scipy_packages(self):
+        # their __init__s import nearly all of scipy; the two extensions the
+        # pipeline calls load on their own
+        code = (
+            "import sys, graphforecast.cli\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "ext = ('scipy.linalg._fblas', 'scipy.optimize._highspy._core')\n"
+            "print(sorted(set(ext) - set(loaded)), [m for m in loaded if not m.startswith(ext)])"
+        )
+        assert self.probe(code) == "[] []"  # scipy, scipy.optimize, scipy.sparse, ... unloaded
+
+    @pytest.mark.parametrize("first", ["scipy.optimize", "graphforecast.solver"])
+    def test_scipy_and_graphforecast_share_the_extensions(self, first):
+        # a second copy of the pybind11 HiGHS binding would register its types twice
+        code = (
+            f"import sys, {first}\n"
+            "print('scipy.optimize._highspy._core' in sys.modules)\n"
+            "import numpy as np, scipy.linalg.blas, scipy.optimize\n"
+            "from scipy.optimize._highspy import _core\n"
+            "from graphforecast import solver, timeseries\n"
+            "print(solver._core is _core, timeseries.dtrsm is scipy.linalg.blas.dtrsm)\n"
+            "res = scipy.optimize.milp([-1, -1], integrality=[1, 1], bounds=(0, 1),\n"
+            "    constraints=scipy.optimize.LinearConstraint([[1, 1]], -np.inf, 1))\n"
+            "print(res.status, res.fun)"
+        )
+        assert self.probe(code).splitlines() == ["True", "True True", "0 -1.0"]
+
+    def test_cli_calls_import_no_numpy_or_scipy_module(self, small_edgelist, tmp_path):
+        # an import first made inside main is timed with the command; numpy's
+        # unique and setdiff1d, for one, load numpy.ma on their first call
+        code = (
+            "import sys\n"
+            "from graphforecast.cli import main\n"
+            "inp, out = sys.argv[1:]\n"
+            "new = set()\n"
+            "for argv in (\n"
+            "    ['predict', '--input', inp, '--out', out + '.txt'],\n"
+            "    ['sweep', '--input', inp, '--out', out + '.csv', '--gammas', '0.5', '--us', '0.8'],\n"
+            "    ['eval-synth', '--out', out + '-eval.csv', '--experiment', '2', '--runs', '1',\n"
+            "     '--T', '6', '--horizons', '1', '--s', '3', '--s0', '8', '--base', '8',\n"
+            "     '--step', '3', '--width', '1'],\n"
+            "):\n"
+            "    before = set(sys.modules)\n"
+            "    assert main(argv) == 0\n"
+            "    new |= set(sys.modules) - before\n"
+            "print(sorted(m for m in new if m.split('.')[0] in ('numpy', 'scipy')))"
+        )
+        out = self.probe(code, str(small_edgelist), str(tmp_path / "out"))
+        assert out.splitlines()[-1] == "[]"

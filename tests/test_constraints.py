@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from graphforecast import constraints, timeseries
 from graphforecast.candidates import build_hypothetical
@@ -24,6 +25,20 @@ def constant_series(graph, length=6):
 
 def path_graph(ids):
     return Graph(ids, list(zip(ids, ids[1:])))
+
+
+def activity_matrix(cs):
+    """M column by column, as the system's own activity computes it."""
+    return np.column_stack([cs.activity(e) for e in np.eye(cs.n_cols)])
+
+
+def csc_oracle(cs):
+    """M as a scipy.sparse CSC array, each column's rows ascending, built from endpoint_rows."""
+    C = cs.n_cols
+    rows = np.column_stack([np.sort(cs.endpoint_rows, axis=1), np.full(C, cs.n_rows - 1)])
+    return sparse.csc_array(
+        (np.ones(3 * C), rows.ravel(), np.arange(0, 3 * C + 1, 3)), shape=(cs.n_rows, C)
+    )
 
 
 class TestDegreeBounds:
@@ -134,20 +149,20 @@ class TestAssemble:
         series = constant_series(path_graph([0, 1, 2]))
         H = build_hypothetical(series, 1, 0.5, 2)
         cs = constraints.assemble(series, H, 1, 0.8, 1e-3)
-        dense = cs.matrix().toarray()
+        dense = activity_matrix(cs)
         assert (dense[-1, :] == 1.0).all()
 
     def test_vertex_columns_sum_to_two(self):
         series = constant_series(path_graph([0, 1, 2, 3, 4]))
         H = build_hypothetical(series, 1, 0.5, 2)
         cs = constraints.assemble(series, H, 1, 0.8, 1e-3)
-        dense = cs.matrix().toarray()
+        dense = activity_matrix(cs)
         assert (dense[:-1, :].sum(axis=0) == 2.0).all()
 
     def test_matrix_is_built_once(self):
         series = constant_series(path_graph([0, 1, 2]))
         cs = constraints.assemble(series, build_hypothetical(series, 1, 0.5, 2), 1, 0.8, 1e-3)
-        assert cs.matrix() is cs.matrix()
+        assert cs.column_rows is cs.column_rows
 
     def test_matches_incidence_matrix_up_to_column_order(self):
         series = constant_series(path_graph([0, 1, 2, 3]))
@@ -158,7 +173,7 @@ class TestAssemble:
         for j, c in enumerate(H.candidates):
             for v in c.pair:
                 ref[row_of[v], j] = 1.0
-        assert (ref == cs.matrix().toarray()[:-1, :]).all()
+        assert (ref == activity_matrix(cs)[:-1, :]).all()
 
     def test_zero_selection_always_feasible(self):
         series = constant_series(path_graph([0, 1, 2, 3]))
@@ -218,3 +233,44 @@ class TestRowBounds:
         assert cs.upper_bounds[-1] == timeseries.upper_bound(edge_count_series(series), h, u)
         n_bound = timeseries.upper_bound(vertex_count_series(series), h, gamma)
         assert H.n_hat == math.floor(n_bound + 0.5)
+
+
+@st.composite
+def incidence_cases(draw):
+    """A system on 2-7 vertex rows with up to 12 columns, endpoints in either order."""
+    nv = draw(st.integers(2, 7))
+    pair = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=12))
+    C = len(pairs)
+    cs = constraints.ConstraintSystem(
+        row_vertices=tuple(range(nv)),
+        endpoint_rows=np.array(pairs, dtype=np.int64).reshape(C, 2),
+        upper_bounds=np.ones(nv + 1),
+        objective=np.ones(C),
+    )
+    x = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=C, max_size=C)), dtype=float)
+    cols = np.array(sorted(draw(st.sets(st.integers(0, max(C - 1, 0)), max_size=C))), dtype=np.int64)
+    return cs, x, cols
+
+
+class TestIncidence:
+    @settings(derandomize=True, deadline=None)
+    @given(incidence_cases())
+    def test_activity_is_the_sparse_product(self, case):
+        cs, x, _ = case
+        M = csc_oracle(cs)
+        assert np.array_equal(cs.activity(x), M @ x)  # bit for bit: both add in column order
+        mask = x > 0
+        assert np.array_equal(cs.activity(mask), M @ mask)
+
+    @settings(derandomize=True, deadline=None)
+    @given(incidence_cases())
+    def test_columns_are_the_csc_slice(self, case):
+        cs, _, cols = case
+        A = csc_oracle(cs)[:, cols]
+        nnz, starts, indices, data = cs.columns(cols)
+        assert nnz == A.nnz
+        assert starts.dtype == indices.dtype == np.int32 and data.dtype == np.float64
+        assert np.array_equal(starts, A.indptr[:-1])
+        assert np.array_equal(indices, A.indices)
+        assert np.array_equal(data, A.data)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 from graphforecast import solver
@@ -30,13 +31,21 @@ def make_system(endpoints, bounds, coeffs, n_vertices=None):
     )
 
 
+def incidence(cs):
+    """M from endpoint_rows alone: a 1 at each endpoint row and the total row of every column."""
+    C = cs.n_cols
+    rows = np.concatenate([cs.endpoint_rows.ravel(), np.full(C, cs.n_rows - 1)])
+    cols = np.concatenate([np.repeat(np.arange(C), 2), np.arange(C)])
+    return sparse.csr_array((np.ones(3 * C), (rows, cols)), shape=(cs.n_rows, C))
+
+
 def triangle_system(bounds=(1.0, 1.0, 1.0, 3.0), coeffs=(1.0, 1.0, 1.0)):
     return make_system([[0, 1], [0, 2], [1, 2]], bounds, coeffs)
 
 
 def enumerate_subsets(cs):
     """Independent oracle: all subsets by ascending mask, plain Python."""
-    dense = cs.matrix().toarray()
+    dense = incidence(cs).toarray()
     best = (-1.0, None)
     for mask in range(1 << cs.n_cols):
         x = [(mask >> j) & 1 for j in range(cs.n_cols)]
@@ -95,7 +104,7 @@ class TestSolveLp:
     def test_triangle_fractional_optimum(self):
         # oracle: enumerate basic solutions from active-constraint subsets
         cs = triangle_system()
-        dense = cs.matrix().toarray()
+        dense = incidence(cs).toarray()
         rows = [dense[i] for i in range(4)] + [np.eye(3)[i] for i in range(3)]
         rhs = list(cs.upper_bounds) + [1.0, 1.0, 1.0]
         best = 0.0
@@ -126,7 +135,7 @@ class TestSolveLp:
             cs = random_system(rng)
             sol = solve_lp(cs)
             assert (sol.values >= -1e-9).all() and (sol.values <= 1 + 1e-9).all()
-            act = cs.matrix().toarray() @ sol.values
+            act = incidence(cs).toarray() @ sol.values
             assert (act <= cs.upper_bounds + 1e-6).all()
             assert (act >= -1e-6).all()
 
@@ -206,7 +215,7 @@ class TestSolveIlp:
         assert sol.status == "node_cap"
         assert sol.nodes_explored == 1
         assert set(sol.values.tolist()) <= {0, 1}
-        assert (cs.matrix() @ sol.values <= cs.upper_bounds).all()
+        assert (incidence(cs) @ sol.values <= cs.upper_bounds).all()
         assert sol.objective == float(cs.objective @ sol.values)
         assert sol.objective <= sol.lp_objective
 
@@ -218,7 +227,7 @@ class TestSolveIlp:
             b = brute_force(cs)
             assert a.objective == b.objective
             for sol in (a, b):
-                act = cs.matrix().toarray() @ sol.values
+                act = incidence(cs).toarray() @ sol.values
                 assert (act <= cs.upper_bounds + 1e-6).all()
 
     def test_matches_brute_force_on_tie_heavy_systems(self):
@@ -240,7 +249,7 @@ class TestSolveIlp:
             a = solve_ilp(cs)
             b = brute_force(cs)
             assert a.objective == b.objective
-            act = cs.matrix().toarray() @ a.values
+            act = incidence(cs).toarray() @ a.values
             assert (act <= cs.upper_bounds + 1e-6).all()
 
     def test_lp_bounds_ilp(self):
@@ -391,7 +400,7 @@ class TestSolverProperties:
         # float summation order among equal-value selections
         assert ilp.objective == pytest.approx(brute_force(cs).objective, abs=1e-9)
         floored = np.floor(cs.upper_bounds + 1e-6)
-        assert (cs.matrix() @ ilp.values <= floored).all()
+        assert (incidence(cs) @ ilp.values <= floored).all()
         assert set(ilp.values.tolist()) <= {0, 1}
         assert solve_lp(cs).objective >= ilp.objective - 1e-9
 
@@ -409,7 +418,7 @@ class TestSolverProperties:
         expected = 0.0
         if cs.n_cols:
             res = linprog(
-                -cs.objective, A_ub=cs.matrix(), b_ub=floored(cs), bounds=(0, 1), method="highs"
+                -cs.objective, A_ub=incidence(cs), b_ub=floored(cs), bounds=(0, 1), method="highs"
             )
             assert res.status == 0
             expected = -res.fun
@@ -431,7 +440,7 @@ def rebounded_systems(draw):
     rows = np.array(draw(st.lists(st.integers(0, 4), min_size=cs.n_rows, max_size=cs.n_rows)), float)
     upper = np.array(draw(st.lists(st.booleans(), min_size=C, max_size=C)), dtype=bool)
     lower = upper & np.array(draw(st.lists(st.booleans(), min_size=C, max_size=C)), dtype=bool)
-    return cs, np.maximum(rows, cs.matrix() @ lower), lower, upper
+    return cs, np.maximum(rows, incidence(cs) @ lower), lower, upper
 
 
 class TestWarmStart:
@@ -446,7 +455,7 @@ class TestWarmStart:
         cold, cold_status, _ = solver.LpModel().solve(cs, rows, lower, upper)
         assert warm_status is cold_status is LpStatus.OPTIMAL
         assert c @ warm == pytest.approx(c @ cold, abs=1e-9)
-        assert (cs.matrix() @ warm <= rows + 1e-6).all()
+        assert (incidence(cs) @ warm <= rows + 1e-6).all()
         assert (warm >= lower - 1e-9).all() and (warm <= upper + 1e-9).all()
 
     def test_shared_model_matches_cold_solves(self):

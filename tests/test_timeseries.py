@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from graphforecast import timeseries as ts
 
@@ -594,6 +595,30 @@ class TestQuantile:
         levels = sorted(levels)
         vals = [ts.quantile(fc, 1, q) for q in levels]
         assert vals == sorted(vals)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(
+        st.one_of(
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+            # both tails, down to 1e-300: z = sqrt(-2 log y) from 2 to 37
+            st.floats(-690.8, -2.0).map(math.exp),
+            st.floats(-36.0, -2.0).map(lambda e: 1.0 - math.exp(e)),
+            # around the branch points y = exp(-2), 1 - exp(-2) and z = 8
+            st.floats(math.exp(-2) * (1 - 1e-12), math.exp(-2) * (1 + 1e-12)),
+            st.floats(-math.expm1(-2) * (1 - 1e-12), -math.expm1(-2) * (1 + 1e-12)),
+            st.floats(math.exp(-32) * (1 - 1e-12), math.exp(-32) * (1 + 1e-12)),
+        )
+    )
+    @example(1e-300)
+    @example(5e-324)
+    @example(math.exp(-2))
+    @example(1.0 - math.exp(-2))
+    @example(math.nextafter(1.0 - math.exp(-2), 1.0))
+    @example(math.exp(-32))
+    @example(0.8)
+    @example(math.nextafter(1.0, 0.0))
+    def test_ndtri_is_scipys_bit_for_bit(self, y):
+        assert ts._ndtri(y).hex() == float(ndtri(y)).hex()
 
     def test_out_of_range(self):
         fc = ts.Forecast((1.0,), (1.0,))
