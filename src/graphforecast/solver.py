@@ -18,12 +18,13 @@ bound 0, and a column no binary selection can take stays out of the model
 relaxation from the _forced fixings; solve_ilp runs depth-first branch and
 bound from them on the same model, its root node is solve_lp's solution, so a
 prediction solves the root LP once, and every further node changes only
-column bounds and restarts the dual simplex from its parent's basis.  A model
-handed a system with the same rows, columns and weights keeps its basis, so
-that system's root LP starts from the last optimum: predict_distribution
-shares one across its cells, and the u cells of a gamma differ only in their
-bounds.  brute_force enumerates every subset of the unreduced system for
-verification.
+column bounds and restarts the dual simplex from its parent's basis.  The
+root takes the path of every other node: its free columns are _free_columns'
+and its bound is _bound's.  A model handed a system with the same rows,
+columns and weights keeps its basis, so that system's root LP starts from
+the last optimum: predict_distribution shares one across its cells, and the
+u cells of a gamma differ only in their bounds.  brute_force enumerates
+every subset of the unreduced system for verification.
 
 Because M is non-negative and the lower row bounds are zero, x = 0 is always
 feasible, so neither solver can fail on feasibility.
@@ -221,6 +222,27 @@ def _forced(cs: ConstraintSystem, f: np.ndarray) -> np.ndarray:
     return forced
 
 
+def _free_columns(
+    cs: ConstraintSystem, f: np.ndarray, fix0: np.ndarray, fix1: np.ndarray
+) -> np.ndarray:
+    """A node's free columns: unfixed, and admitted by the capacity its fixed-at-1 columns leave."""
+    return ~fix0 & ~fix1 & _selectable(cs, f - cs.activity(fix1))
+
+
+def _bound(
+    c: np.ndarray, x: np.ndarray, status: LpStatus, fix1: np.ndarray, free: np.ndarray
+) -> float:
+    """A node's relaxation bound: c.x, or at the iteration limit the trivial bound.
+
+    With no LP optimum to report, the weight of every column a selection may
+    take at the node, its fixed-at-1 and its free columns, still bounds every
+    selection below it.
+    """
+    if status is LpStatus.ITERATION_LIMIT:
+        return selection_objective(c, fix1) + float(c[free].sum())
+    return float(c @ x)
+
+
 def solve_lp(cs: ConstraintSystem, model: LpModel | None = None) -> LpSolution:
     """Optimal basic solution of the LP relaxation (x in [0, 1]).
 
@@ -231,22 +253,15 @@ def solve_lp(cs: ConstraintSystem, model: LpModel | None = None) -> LpSolution:
     solve_ilp and brute_force can return.  It solves on ``model`` (a new,
     cold one by default), whose basis the next solve starts from.  When
     HiGHS stops at its iteration limit, the values are the fixings and the
-    objective is the trivial bound, the weight of the forced and the
-    selectable columns.
+    objective is _bound's trivial one.
     """
     cs.validate()
     f = _floored_bounds(cs)
     forced = _forced(cs, f)
-    free = ~forced & _selectable(cs, f - cs.activity(forced))
+    free = _free_columns(cs, f, np.zeros_like(forced), forced)
     model = LpModel() if model is None else model
     x, status, iterations = model.solve(cs, f, forced, forced | free)
-    c = cs.objective.astype(float)
-    if status is LpStatus.ITERATION_LIMIT:
-        # no LP optimum to report: the weight of every column a selection may
-        # take, solve_ilp's bound at such a node, still bounds every selection
-        objective = selection_objective(c, forced) + float(c[free].sum())
-    else:
-        objective = float(c @ x)
+    objective = _bound(cs.objective.astype(float), x, status, forced, free)
     return LpSolution(values=x, objective=objective, status=status, iterations=iterations)
 
 
@@ -284,25 +299,17 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
     floor(f)), which tightens the relaxation without excluding any binary
     solution.  The root fixes the _forced columns at 1, which every optimum
     contains, and its relaxation is solve_lp's on ``model`` (a new, cold one
-    by default).  Past NODE_CAP nodes the search stops and returns the
-    incumbent (the empty selection if it has none) with status "node_cap".
+    by default); every node, the root included, takes its bound from _bound.
+    A child fixes at 1 only a column its parent's _free_columns admitted, so
+    the columns fixed at 1 always fit the floored rows.  A system without
+    columns is the root alone: 1 node, the empty selection.  Past NODE_CAP
+    nodes the search stops and returns the incumbent (the empty selection if
+    it has none) with status "node_cap".
     """
     model = LpModel() if model is None else model
     root = solve_lp(cs, model)
     C = cs.n_cols
-    if C == 0:
-        return IlpSolution(
-            values=np.zeros(0, dtype=np.int64),
-            objective=0.0,
-            nodes_explored=0,
-            lp_objective=root.objective,
-            status="optimal",
-            forced_columns=0,
-            simplex_iterations=0,
-            lp_iteration_limit_nodes=0,
-        )
-    eA = cs.endpoint_rows[:, 0]
-    eB = cs.endpoint_rows[:, 1]
+    eA, eB = cs.endpoint_rows.T
     R = cs.n_rows
     c = cs.objective.astype(float)
     f = _floored_bounds(cs)
@@ -335,10 +342,9 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
     status = "optimal"
     iterations = root.iterations
     limited = 0
-    # (columns fixed at 0, columns fixed at 1, the parent's basis); the root's is solve_lp's
-    stack: list[tuple[np.ndarray, np.ndarray, object]] = [
-        (np.zeros(C, dtype=bool), forced, None)
-    ]
+    # (columns fixed at 0, columns fixed at 1, the parent's basis); the root has
+    # no parent, and its LP is solve_lp's
+    stack: list[tuple[np.ndarray, np.ndarray, object]] = [(np.zeros(C, dtype=bool), forced, None)]
 
     while stack:
         if nodes == NODE_CAP:
@@ -346,33 +352,20 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
             break
         fix0, fix1, basis = stack.pop()
         nodes += 1
-
-        f_red = f - cs.activity(fix1)
-        if (f_red < -1e-9).any():
-            continue
-        obj_offset = selection_objective(c, fix1)
-
-        free = ~fix0 & ~fix1
-        if free.any():
-            free &= _selectable(cs, f_red)
-        free_idx = np.flatnonzero(free)
-
-        if nodes == 1:
-            # solve_lp's objective already counts the forced columns
-            x_f, relaxed, lp_status = root.values[free_idx], root.objective, root.status
+        free = _free_columns(cs, f, fix0, fix1)
+        if basis is None:
+            x, lp_status = root.values, root.status
         else:
             model.restore(basis)
             x, lp_status, node_iterations = model.solve(cs, f, fix1, fix1 | free)
             iterations += node_iterations
-            x_f = x[free_idx]
-            relaxed = obj_offset + float(c[free_idx] @ x_f)
         if lp_status is LpStatus.ITERATION_LIMIT:
             limited += 1
-            bound = obj_offset + float(c[free_idx].sum())  # trivial but sound
-        else:
-            bound = tighten(relaxed)
+        bound = tighten(_bound(c, x, lp_status, fix1, free))
         if bound <= inc_obj + prune_gap:
             continue
+        free_idx = np.flatnonzero(free)
+        x_f = x[free_idx]
 
         # rounding the LP solution down stays feasible (and is the LP solution
         # when it is integral); a greedy completion then recovers most of the
@@ -389,21 +382,17 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
             continue
         if lp_status is LpStatus.ITERATION_LIMIT:
             # no LP values to branch on; enumerating the free columns stays exact
-            if not free_idx.size:
-                continue
+            # (a node without free columns is solved without HiGHS, so never stops here)
             j = int(free_idx[np.argmax(c[free_idx])])
         else:
             frac = np.minimum(x_f, 1.0 - x_f)
             if frac.max(initial=0.0) <= INT_TOL:
                 continue
             j = int(free_idx[int(np.argmax(frac))])
+        pick = np.zeros(C, dtype=bool)
+        pick[j] = True
         basis = model.basis()
-        child0_f0 = fix0.copy()
-        child0_f0[j] = True
-        stack.append((child0_f0, fix1, basis))
-        child1_f1 = fix1.copy()
-        child1_f1[j] = True
-        stack.append((fix0.copy(), child1_f1, basis))
+        stack += [(fix0 | pick, fix1, basis), (fix0, fix1 | pick, basis)]  # x_j = 1 pops first
 
     return IlpSolution(
         values=inc_mask.astype(np.int64),

@@ -17,22 +17,27 @@ follows auto.arima: d is the number of differences a KPSS test asks for,
 since AICc cannot compare fits of differently differenced data, and (p, q)
 is found by a stepwise AICc search at that d.  Forecasts continue the ARMA
 recursion from the in-sample residuals of the same CSS kernel, and their
-predictive intervals are the usual Gaussian psi-weight approximation.
+predictive intervals are the usual Gaussian psi-weight approximation, whose
+quantiles are the standard library's NormalDist.inv_cdf (Wichura's AS241).
 ``upper_bound`` turns a count series into its forecast quantile clamped at
 0, the one form every count forecast of the prediction takes.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from statistics import NormalDist
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import _extensions
+
+log = logging.getLogger(__name__)
 
 # BLAS trsm, the one scipy routine the fit calls, without scipy.linalg's start-up
 dtrsm = _extensions.load("scipy.linalg._fblas").dtrsm
@@ -57,38 +62,7 @@ _DAMPING_MAX = 1e10  # no damped step lowers the RSS: a minimum, or one on the r
 # Phillips, Schmidt & Shin, J. Econometrics 54, 1992, table 1)
 _KPSS_CRITICAL = 0.463
 
-# Cephes ndtri (S. L. Moshier), as scipy.special.ndtri computes it: on each
-# range, the numerator P and the monic denominator Q (its leading 1 left
-# out) of a rational approximation.  "centre" serves exp(-2) < y < 1 - exp(-2)
-# in t = (y - 1/2)^2; "tail" and "far" serve the tails in t = 1/z, where
-# z = sqrt(-2 log y) for the smaller of y and 1 - y, with z < 8 and z >= 8
-_NDTRI = {
-    "centre": (
-        (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-         1.39312609387279679503e1, -1.23916583867381258016e0),
-        (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-         -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-         1.59056225126211695515e1, -1.18331621121330003142e0),
-    ),
-    "tail": (
-        (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-         4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-         -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4),
-        (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-         1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-         -3.80806407691578277194e-2, -9.33259480895457427372e-4),
-    ),
-    "far": (
-        (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-         1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-         3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9),
-        (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-         2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-         2.89247864745380683936e-6, 6.79019408009981274425e-9),
-    ),
-}
-_EXP_M2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -480,7 +454,10 @@ def _auto_fit_cached(values: tuple[float, ...]) -> ArimaFit:
                 try:
                     fits[cell] = fit(series, p, d, q)
                 except RuntimeError:
-                    pass  # a cell that does not converge is skipped
+                    log.warning(
+                        "skipped ARIMA(%d,%d,%d), which did not converge on a series of length %d",
+                        p, d, q, n,
+                    )
         f = fits[cell]
         return (math.inf,) if f is None else (f.aicc, p + q, d, p)
 
@@ -559,32 +536,6 @@ def forecast(fit_: ArimaFit, series: Series, h: int) -> Forecast:
     return Forecast(tuple(float(v) for v in fc), tuple(float(s) for s in std_errs))
 
 
-def _rational(t: float, range_: str) -> float:
-    """t P(t) / Q(t) for one _NDTRI range, rounded step by step as Cephes does."""
-    P, Q = _NDTRI[range_]
-    num, den = P[0], t + Q[0]
-    for a in P[1:]:
-        num = num * t + a
-    for b in Q[1:]:
-        den = den * t + b
-    return t * num / den
-
-
-def _ndtri(y: float) -> float:
-    """The standard normal quantile at 0 < y < 1, bit for bit scipy.special.ndtri."""
-    lower = y <= 1.0 - _EXP_M2
-    if not lower:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        return (y + y * _rational(y2, "centre")) * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    x = (x - math.log(x) / x) - _rational(z, "tail" if x < 8.0 else "far")
-    return -x if lower else x
-
-
 def quantile(forecast_: Forecast, step: int, q: float) -> float:
     """Gaussian predictive quantile at the given step (1-based)."""
     if not 1 <= step <= forecast_.horizon:
@@ -594,7 +545,7 @@ def quantile(forecast_: Forecast, step: int, q: float) -> float:
     se = forecast_.std_errs[step - 1]
     if se == 0.0 or q == 0.5:
         return forecast_.means[step - 1]
-    return forecast_.means[step - 1] + _ndtri(q) * se
+    return forecast_.means[step - 1] + _STANDARD_NORMAL.inv_cdf(q) * se
 
 
 def forecast_with_fallback(series: Series, h: int) -> Forecast:

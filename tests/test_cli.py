@@ -466,7 +466,8 @@ class TestSidecar:
 
 class TestStartup:
     def test_cli_import_leaves_out_scipy_stats(self):
-        # scipy.stats costs about half of the start-up time; ndtri suffices
+        # scipy.stats costs about half of the start-up time; the normal quantile
+        # is the standard library's statistics.NormalDist
         probe = "import sys, graphforecast.cli; print('scipy.stats' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", probe], check=True, capture_output=True, text=True

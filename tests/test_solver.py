@@ -2,10 +2,11 @@ import itertools
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
@@ -199,6 +200,8 @@ class TestSolveIlp:
         sol = solve_ilp(cs)
         assert sol.objective == 0.0
         assert len(sol.values) == 0
+        assert sol.nodes_explored == 1  # the root, like any other system's
+        assert sol.forced_columns == 0
 
     def test_empty_system_has_zero_lp_objective(self):
         cs = make_system(np.zeros((0, 2)), [1.0, 1.0, 5.0], [])
@@ -423,6 +426,34 @@ class TestSolverProperties:
             assert res.status == 0
             expected = -res.fun
         assert solve_lp(cs).objective == pytest.approx(expected, abs=1e-9)
+
+    @settings(derandomize=True, deadline=None)
+    @given(small_systems())
+    # two systems that branch, the second from a forced column: 3 and 5 nodes
+    @example(make_system([[0, 1], [0, 2], [1, 2]], [1, 1, 1, 3], [1.0, 0.9, 0.8]))
+    @example(
+        make_system(
+            [[1, 0], [0, 1], [2, 0], [2, 0], [1, 2], [0, 2], [0, 1], [2, 0], [1, 2]],
+            [1, 2, 2, 3],
+            [0.25, 0.25, 1e-3, 0.25, 1.0, 1e-3, 1e-3, 1e-3, 1e-3],
+        )
+    )
+    def test_every_node_fixes_at_1_only_columns_that_fit(self, cs):
+        # the root's forced columns fit by _forced's condition, and a child fixes
+        # at 1 only a column its parent admitted as free: no row is overdrawn
+        calls = []
+        solve = solver.LpModel.solve
+
+        def recording(model, cs_, f, lower, upper):
+            calls.append((f, lower))
+            return solve(model, cs_, f, lower, upper)
+
+        with mock.patch.object(solver.LpModel, "solve", recording):
+            solve_ilp(cs)
+        assert calls
+        for rows, lower in calls:
+            assert np.array_equal(rows, floored(cs))
+            assert (incidence(cs) @ lower <= rows).all()
 
     @settings(derandomize=True, deadline=None)
     @given(small_systems())
