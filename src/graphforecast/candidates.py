@@ -7,7 +7,14 @@ edges: every currently existing edge, edges between existing vertices that
 share a neighbour, and edges attaching each new vertex to the most popular
 existing vertices.  Edges between two new vertices are deliberately not
 generated.  ``HypotheticalGraph`` owns the candidate list, whose order is the
-column order of the constraint system, and the row layout ``vertex_order``.
+column order of the constraint system, the row layout ``vertex_order``, and
+the column arrays derived from them (``endpoint_rows``, ``existing_mask``),
+each built once per graph and read-only.
+
+A candidate graph depends on the last snapshot, n_hat and k alone, so the
+cells of a gamma x u sweep share it: ``build_hypothetical`` forecasts n_hat
+in every call, keeps the graphs of its last two (snapshot, n_hat, k) keys,
+and returns the same object for a repeated key.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from . import timeseries
 from .graphs import Edge, Graph, GraphSeries, VertexId, edge, vertex_count_series
@@ -55,10 +64,29 @@ class HypotheticalGraph:
     def new_vertex_count(self) -> int:
         return len(self.new_vertex_ids)
 
-    @property
+    @cached_property
     def vertex_order(self) -> tuple[VertexId, ...]:
         """Row layout: existing vertices by ascending id, then new vertices."""
         return tuple(sorted(self.base.vertices)) + self.new_vertex_ids
+
+    @cached_property
+    def endpoint_rows(self) -> np.ndarray:
+        """(cols, 2) rows of each candidate's endpoints in ``vertex_order``, read-only."""
+        row_of = {v: r for r, v in enumerate(self.vertex_order)}
+        rows = np.array(
+            [(row_of[c.u], row_of[c.v]) for c in self.candidates], dtype=np.int64
+        ).reshape(len(self.candidates), 2)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def existing_mask(self) -> np.ndarray:
+        """(cols,) True at the candidates that are edges of the base snapshot, read-only."""
+        mask = np.array(
+            [c.provenance is Provenance.EXISTING for c in self.candidates], dtype=bool
+        )
+        mask.flags.writeable = False
+        return mask
 
 
 def predict_vertex_count(series: GraphSeries, h: int, gamma: float) -> tuple[int, int]:
@@ -116,9 +144,19 @@ def attachment_candidates(
 def build_hypothetical(
     series: GraphSeries, h: int, gamma: float, k: int
 ) -> HypotheticalGraph:
-    """Assemble the candidate graph for predicting the snapshot at T+h."""
-    g = series.last
+    """Assemble the candidate graph for predicting the snapshot at T+h.
+
+    n_hat is forecast in every call; a (last snapshot, n_hat, k) among the
+    last two seen gets the graph already built for it, the same object.
+    """
     n_hat, n_new = predict_vertex_count(series, h, gamma)
+    return _hypothetical(series.last, n_hat, n_new, k)
+
+
+# Two entries: a sweep's row-major grid puts the gammas with equal n_hat next
+# to each other, and a 303-vertex graph (30,955 candidates) holds 3.9 MB.
+@lru_cache(maxsize=2)
+def _hypothetical(g: Graph, n_hat: int, n_new: int, k: int) -> HypotheticalGraph:
     next_id = max(g.vertices, default=-1) + 1
     cands: list[CandidateEdge] = [
         CandidateEdge(u, v, Provenance.EXISTING) for u, v in sorted(g.edges)

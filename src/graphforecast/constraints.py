@@ -8,6 +8,11 @@ series; every forecast bound is ``timeseries.upper_bound``.  Rows follow
 ``HypotheticalGraph.vertex_order`` and columns follow its candidate list.  The
 matrix is the incidence matrix of the candidate graph with an all-ones row
 appended for the total-edge constraint.
+
+Only the bounds depend on a sweep cell's u.  The row layout, the endpoint
+rows and the existing-edge mask come from the candidate graph, which builds
+each once; every degree series is built once per training series, and each
+distinct series is forecast once (``timeseries.forecast_with_fallback``).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import timeseries
-from .candidates import HypotheticalGraph, Provenance
+from .candidates import HypotheticalGraph
 from .graphs import GraphSeries, degree_series, edge_count_series, new_vertex_degree_pool
 
 
@@ -123,26 +128,22 @@ def objective_coeffs(H: HypotheticalGraph, alpha: float) -> np.ndarray:
     """Weight 1 for edges already present, alpha for candidate new edges."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    return np.array(
-        [1.0 if c.provenance is Provenance.EXISTING else alpha for c in H.candidates]
-    )
+    return np.where(H.existing_mask, 1.0, alpha)
 
 
 def assemble(
     series: GraphSeries, H: HypotheticalGraph, h: int, u: float, alpha: float
 ) -> ConstraintSystem:
-    """Build the full constraint system for the hypothetical graph."""
-    order = H.vertex_order
-    row_of = {v: r for r, v in enumerate(order)}
-    endpoint_rows = np.array(
-        [[row_of[c.u], row_of[c.v]] for c in H.candidates], dtype=np.int64
-    ).reshape(len(H.candidates), 2)
+    """Build the full constraint system for the hypothetical graph.
+
+    The system shares H's read-only row layout and endpoint rows.
+    """
     upper = np.concatenate(
         [degree_bounds(series, H, h, u), [total_edge_bound(series, h, u)]]
     )
     cs = ConstraintSystem(
-        row_vertices=order,
-        endpoint_rows=endpoint_rows,
+        row_vertices=H.vertex_order,
+        endpoint_rows=H.endpoint_rows,
         upper_bounds=upper,
         objective=objective_coeffs(H, alpha),
     )

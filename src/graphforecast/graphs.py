@@ -106,7 +106,7 @@ class GraphSeries:
     Snapshot indices are 1-based time steps t = 1..T.
     """
 
-    __slots__ = ("_snapshots", "_first_seen")
+    __slots__ = ("_snapshots", "_first_seen", "_degrees")
 
     def __init__(self, snapshots: Sequence[Graph]):
         if len(snapshots) == 0:
@@ -124,6 +124,7 @@ class GraphSeries:
                 first_seen.setdefault(v, t)
         self._snapshots = tuple(snapshots)
         self._first_seen = first_seen
+        self._degrees: dict[int, Series] | None = None
 
     def __len__(self) -> int:
         return len(self._snapshots)
@@ -160,12 +161,21 @@ class GraphSeries:
 
 
 def degree_series(series: GraphSeries, v: VertexId) -> Series:
-    """Degree of v in every snapshot from its first appearance to T."""
+    """Degree of v in every snapshot from its first appearance to T.
+
+    The first call builds every vertex's degree series in one pass over the
+    snapshots and keeps them on the series, so later calls only look one up.
+    """
     if v not in series._first_seen:
         raise KeyError(f"vertex {v} never appears in the series")
-    t0 = series._first_seen[v]
-    values = tuple(float(series.snapshot(t).degree(v)) for t in range(t0, len(series) + 1))
-    return Series(values)
+    if series._degrees is None:
+        # vertices never leave, so a vertex's degrees from its first snapshot on
+        degrees: dict[int, list[float]] = {u: [] for u in series._first_seen}
+        for g in series._snapshots:
+            for u, nbrs in g._adjacency().items():
+                degrees[u].append(float(len(nbrs)))
+        series._degrees = {u: Series(tuple(d)) for u, d in degrees.items()}
+    return series._degrees[v]
 
 
 def vertex_count_series(series: GraphSeries) -> Series:

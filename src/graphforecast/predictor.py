@@ -11,6 +11,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import constraints, solver
 from .candidates import build_hypothetical
 from .graphs import Graph, GraphSeries
@@ -68,7 +70,9 @@ def predict(
             "(%d nodes): its edge set is the best found, not a proven optimum",
             params.gamma, params.u, params.h, ilp.nodes_explored,
         )
-    edges = [H.candidates[j].pair for j in range(cs.n_cols) if ilp.values[j]]
+    edges = [H.candidates[j].pair for j in np.flatnonzero(ilp.values)]
+    existing = int(H.existing_mask.sum())
+    attachment = H.new_vertex_count * min(params.k, H.base.vertex_count)
     vertices = set(H.base.vertices)
     vertices.update(H.new_vertex_ids)
     return PredictedGraph(
@@ -79,6 +83,11 @@ def predict(
             "lp_objective": ilp.lp_objective,  # the B&B root relaxation, solve_lp's
             "ilp_objective": ilp.objective,
             "candidate_count": cs.n_cols,
+            "candidates_by_provenance": {
+                "existing": existing,
+                "homophily": cs.n_cols - existing - attachment,
+                "attachment": attachment,
+            },
             "n_hat": H.n_hat,
             "nodes_explored": ilp.nodes_explored,
             "ilp_status": ilp.status,
@@ -97,11 +106,19 @@ def predict_distribution(
 ) -> list[PredictedGraph]:
     """Predictions for every (gamma, u) pair, in row-major order over the grid.
 
-    Each cell is ``base`` with its gamma and u replaced.  The cells share one
-    LP model.  The u cells of a gamma have the same candidate columns (so do
-    the gammas that forecast the same vertex count), so each of their root
-    LPs starts from the previous cell's last basis and only bounds change; a
-    cell with other columns rebuilds the model and solves cold.
+    Each cell is ``base`` with its gamma and u replaced, and runs ``predict``.
+    The cells share what does not depend on their own (gamma, u): each
+    distinct count series is forecast once (``forecast_with_fallback``),
+    each degree series built once, and the gammas that forecast the same
+    vertex count get one candidate graph with its row layout, endpoint rows
+    and existing-edge mask (``build_hypothetical``).  A cell computes only
+    its bounds and its solve.  The cells also share one LP model: the u
+    cells of a gamma have the same candidate columns (so do the gammas that
+    forecast the same vertex count), so each of their root LPs starts from
+    the previous cell's last basis and only bounds change; a cell with other
+    columns rebuilds the model and solves cold.  Every cell still solves:
+    two cells with equal systems start from different bases and may end on
+    different edge sets of equal weight.
     """
     if not gammas or not us:
         raise ValueError("gammas and us must be non-empty")

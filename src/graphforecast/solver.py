@@ -68,6 +68,8 @@ class LpSolution:
     objective: float
     status: LpStatus
     iterations: int  # HiGHS's simplex iterations
+    bounds: np.ndarray  # the floored row bounds it relaxed (_floored_bounds)
+    forced: np.ndarray  # the columns it fixed at 1 (_forced)
 
 
 @dataclass(frozen=True)
@@ -262,7 +264,10 @@ def solve_lp(cs: ConstraintSystem, model: LpModel | None = None) -> LpSolution:
     model = LpModel() if model is None else model
     x, status, iterations = model.solve(cs, f, forced, forced | free)
     objective = _bound(cs.objective.astype(float), x, status, forced, free)
-    return LpSolution(values=x, objective=objective, status=status, iterations=iterations)
+    return LpSolution(
+        values=x, objective=objective, status=status, iterations=iterations,
+        bounds=f, forced=forced,
+    )
 
 
 def _min_improvement(c: np.ndarray) -> float:
@@ -299,7 +304,8 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
     floor(f)), which tightens the relaxation without excluding any binary
     solution.  The root fixes the _forced columns at 1, which every optimum
     contains, and its relaxation is solve_lp's on ``model`` (a new, cold one
-    by default); every node, the root included, takes its bound from _bound.
+    by default), whose floored bounds and fixings it reuses; every node, the
+    root included, takes its bound from _bound.
     A child fixes at 1 only a column its parent's _free_columns admitted, so
     the columns fixed at 1 always fit the floored rows.  A system without
     columns is the root alone: 1 node, the empty selection.  Past NODE_CAP
@@ -312,8 +318,7 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
     eA, eB = cs.endpoint_rows.T
     R = cs.n_rows
     c = cs.objective.astype(float)
-    f = _floored_bounds(cs)
-    forced = _forced(cs, f)
+    f, forced = root.bounds, root.forced
     lattice = _min_improvement(c)
     prune_gap = max(0.999 * lattice, PRUNE_TOL)
 

@@ -553,11 +553,19 @@ def forecast_with_fallback(series: Series, h: int) -> Forecast:
 
     The fallback uses the last observation as the mean at every step and the
     sample standard deviation (0 for a single point) as the spread, so young
-    vertices with brief histories never fail the pipeline.
+    vertices with brief histories never fail the pipeline.  The result is
+    memoised by (values, h): a sweep's cells, and vertices with equal degree
+    histories, forecast each distinct series once.
     """
+    return _forecast_cached(series.values, h)
+
+
+@lru_cache(maxsize=8192)
+def _forecast_cached(values: tuple[float, ...], h: int) -> Forecast:
+    series = Series(values)
     if len(series) >= 4:
         return forecast(auto_fit(series), series, h)
-    vals = np.asarray(series.values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     sd = float(np.std(vals, ddof=1)) if len(vals) >= 2 else 0.0
     return Forecast((float(vals[-1]),) * h, (sd,) * h)
 

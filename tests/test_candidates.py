@@ -1,7 +1,9 @@
 import statistics
 
+import numpy as np
 import pytest
 
+from graphforecast import candidates
 from graphforecast.candidates import (
     Provenance,
     attachment_candidates,
@@ -172,3 +174,27 @@ class TestBuildHypothetical:
         series = self.stable_path_series()
         H = build_hypothetical(series, 1, 0.5, 2)
         assert len(H.vertex_order) == max(series.last.vertex_count, H.n_hat)
+
+    def test_equal_n_hat_shares_one_graph(self):
+        # a constant vertex count forecasts the same n_hat at every gamma
+        series = self.stable_path_series()
+        a = build_hypothetical(series, 1, 0.2, 2)
+        assert build_hypothetical(series, 1, 0.8, 2) is a
+        assert build_hypothetical(series, 1, 0.8, 3) is not a
+        candidates._hypothetical.cache_clear()
+        fresh = build_hypothetical(series, 1, 0.8, 2)
+        assert fresh is not a and fresh == a
+
+    def test_column_arrays_follow_the_candidates_and_are_read_only(self):
+        snaps = [path_graph(list(range(n))) for n in [3, 4, 5, 6, 7, 8]]
+        H = build_hypothetical(GraphSeries(snaps), 2, 0.7, 3)
+        row_of = {v: r for r, v in enumerate(H.vertex_order)}
+        assert H.endpoint_rows.tolist() == [[row_of[c.u], row_of[c.v]] for c in H.candidates]
+        assert H.existing_mask.tolist() == [
+            c.provenance is Provenance.EXISTING for c in H.candidates
+        ]
+        assert H.endpoint_rows.dtype == np.int64 and H.existing_mask.dtype == bool
+        with pytest.raises(ValueError):
+            H.endpoint_rows[0, 0] = 1
+        with pytest.raises(ValueError):
+            H.existing_mask[0] = False

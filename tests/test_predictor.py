@@ -1,7 +1,7 @@
 import pytest
 
-from graphforecast import constraints, solver
-from graphforecast.candidates import build_hypothetical
+from graphforecast import candidates, constraints, solver, timeseries
+from graphforecast.candidates import Provenance, build_hypothetical
 from graphforecast.datagen import PaConfig, pa_sequence, uniform_band_schedule
 from graphforecast.graphs import Graph, GraphSeries
 from graphforecast.predictor import PredictParams, predict, predict_distribution
@@ -139,6 +139,17 @@ class TestPredict:
                 >= result.diagnostics["ilp_objective"] - 1e-9
             )
 
+    def test_candidates_by_provenance(self):
+        series = small_pa_series(2).window(1, 7)
+        params = PredictParams(k=3)
+        result = predict(series, params)
+        H = build_hypothetical(series, params.h, params.gamma, params.k)
+        kinds = {p.value: 0 for p in Provenance}
+        for c in H.candidates:
+            kinds[c.provenance.value] += 1
+        assert result.diagnostics["candidates_by_provenance"] == kinds
+        assert kinds["attachment"] > 0 and kinds["homophily"] > 0
+
     def test_deterministic(self):
         series = small_pa_series(3).window(1, 7)
         a = predict(series, PredictParams(h=2))
@@ -187,6 +198,21 @@ class TestPredictDistribution:
                 lone.diagnostics["lp_objective"], rel=1e-12
             )
             assert cell.graph.edge_count == lone.graph.edge_count
+
+    def test_shared_work_matches_cells_built_from_scratch(self):
+        # the grid shares forecasts, degree series and candidate graphs between
+        # cells; rebuilding all of them for every cell, on the same chain of
+        # warm-started solves, changes nothing.  Cell (0.5, 0.8) branches
+        series = small_pa_series(5).window(1, 7)
+        grid = predict_distribution(series, [0.2, 0.5, 0.8], [0.5, 0.8, 0.95])
+        model = solver.LpModel()
+        for cell in grid:
+            timeseries._forecast_cached.cache_clear()
+            candidates._hypothetical.cache_clear()
+            fresh = GraphSeries(list(series))  # without the degree series built so far
+            alone = predict(fresh, cell.params, model=model)
+            assert alone.graph == cell.graph
+            assert alone.diagnostics == cell.diagnostics
 
     def test_empty_grid_rejected(self):
         series = small_pa_series(0).window(1, 7)

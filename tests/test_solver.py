@@ -195,6 +195,28 @@ class TestSolveIlp:
         assert sol.objective == pytest.approx(obj)
         assert sol.values.tolist() == [1, 0]
 
+    def test_root_bounds_and_fixings_come_from_solve_lp(self, monkeypatch):
+        # a system that branches after forcing a column (an @example of the
+        # node property below)
+        cs = make_system(
+            [[1, 0], [0, 1], [2, 0], [2, 0], [1, 2], [0, 2], [0, 1], [2, 0], [1, 2]],
+            [1, 2, 2, 3],
+            [0.25, 0.25, 1e-3, 0.25, 1.0, 1e-3, 1e-3, 1e-3, 1e-3],
+        )
+        forced = solver._forced(cs, floored(cs))
+        calls = []
+        for name in ("_floored_bounds", "_forced"):
+            fn = getattr(solver, name)
+            monkeypatch.setattr(
+                solver, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+            )
+        sol = solve_ilp(cs)
+        assert sol.nodes_explored > 1 and sol.forced_columns == forced.sum() > 0
+        assert calls == ["_floored_bounds", "_forced"]
+        root = solve_lp(cs)
+        assert np.array_equal(root.bounds, floored(cs))
+        assert np.array_equal(root.forced, forced)
+
     def test_empty_system(self):
         cs = make_system(np.zeros((0, 2)), [1.0, 1.0, 5.0], [])
         sol = solve_ilp(cs)
@@ -394,26 +416,83 @@ def small_systems(draw):
     return make_system(pairs, bounds, coeffs, n_vertices=nv)
 
 
+@st.composite
+def odd_cycle_systems(draw):
+    """Odd cycles of equal-weight columns under unit row bounds, plus alpha pendants.
+
+    The root LP puts 1/2 on every column of a cycle.  Each cycle vertex may
+    also get an alpha-weight column to a vertex of its own; these keep the
+    objective lattice finer than a cycle's weight, so the root bound is not
+    floored onto the greedy selection's objective and the search branches.
+    """
+    pairs, coeffs, nv = [], [], 0
+    for length in draw(st.lists(st.sampled_from([3, 5]), min_size=1, max_size=2)):
+        weight = draw(st.sampled_from([1.0, 0.25]))
+        pairs += [(nv + i, nv + (i + 1) % length) for i in range(length)]
+        coeffs += [weight] * length
+        nv += length
+    for v in draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=3)):
+        pairs.append((v, nv))
+        coeffs.append(1e-3)
+        nv += 1
+    order = draw(st.permutations(range(len(pairs))))
+    unit = st.sampled_from([1.0, 1.0 - 1e-7, 1.0 + 1e-7])
+    bounds = draw(st.lists(unit, min_size=nv, max_size=nv)) + [float(len(pairs))]
+    return make_system(
+        [pairs[j] for j in order], bounds, [coeffs[j] for j in order], n_vertices=nv
+    )
+
+
+def check_ilp_matches_brute_force(cs):
+    ilp = solve_ilp(cs)
+    # distinct optima differ by at least 1e-3; the slack only absorbs
+    # float summation order among equal-value selections
+    assert ilp.objective == pytest.approx(brute_force(cs).objective, abs=1e-9)
+    assert (incidence(cs) @ ilp.values <= floored(cs)).all()
+    assert set(ilp.values.tolist()) <= {0, 1}
+    assert solve_lp(cs).objective >= ilp.objective - 1e-9
+
+
+def check_optima_hold_the_forced_columns(cs):
+    forced = np.flatnonzero(solver._forced(cs, floored(cs)))
+    for x in optimal_subsets(cs):
+        assert all(x[j] for j in forced)
+    assert solve_ilp(cs).forced_columns == len(forced)
+
+
 class TestSolverProperties:
     @settings(derandomize=True, deadline=None)
     @given(small_systems())
     def test_ilp_matches_brute_force_within_floored_bounds(self, cs):
-        ilp = solve_ilp(cs)
-        # distinct optima differ by at least 1e-3; the slack only absorbs
-        # float summation order among equal-value selections
-        assert ilp.objective == pytest.approx(brute_force(cs).objective, abs=1e-9)
-        floored = np.floor(cs.upper_bounds + 1e-6)
-        assert (incidence(cs) @ ilp.values <= floored).all()
-        assert set(ilp.values.tolist()) <= {0, 1}
-        assert solve_lp(cs).objective >= ilp.objective - 1e-9
+        check_ilp_matches_brute_force(cs)
 
     @settings(derandomize=True, deadline=None)
     @given(small_systems())
     def test_every_optimum_holds_the_forced_columns(self, cs):
-        forced = np.flatnonzero(solver._forced(cs, floored(cs)))
-        for x in optimal_subsets(cs):
-            assert all(x[j] for j in forced)
-        assert solve_ilp(cs).forced_columns == len(forced)
+        check_optima_hold_the_forced_columns(cs)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(odd_cycle_systems())
+    def test_branching_ilp_matches_brute_force(self, cs):
+        check_ilp_matches_brute_force(cs)
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(odd_cycle_systems())
+    def test_branching_optima_hold_the_forced_columns(self, cs):
+        check_optima_hold_the_forced_columns(cs)
+
+    def test_odd_cycle_systems_branch(self):
+        # small_systems' draws all end at the root; these must reach child nodes
+        nodes = []
+
+        @settings(derandomize=True, deadline=None, max_examples=50)
+        @given(odd_cycle_systems())
+        def collect(cs):
+            nodes.append(solve_ilp(cs).nodes_explored)
+
+        collect()
+        assert len(nodes) >= 40
+        assert sum(n > 1 for n in nodes) >= 0.8 * len(nodes)
 
     @settings(derandomize=True, deadline=None)
     @given(small_systems())

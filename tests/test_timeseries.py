@@ -670,3 +670,15 @@ class TestFallback:
         s = ts.Series.from_values(range(1, 21))
         fc = ts.forecast_with_fallback(s, 1)
         assert fc.means[0] == pytest.approx(21.0, abs=0.5)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        st.lists(st.integers(0, 30).map(float), min_size=4, max_size=12),
+        st.integers(1, 5),
+    )
+    def test_cached_forecast_equals_a_fresh_one(self, values, h):
+        s = ts.Series(tuple(values))
+        first = ts.forecast_with_fallback(s, h)
+        # an equal series, not the same object, finds the memoised forecast
+        assert ts.forecast_with_fallback(ts.Series(tuple(values)), h) is first
+        assert first == ts.forecast(ts.auto_fit(s), s, h)
