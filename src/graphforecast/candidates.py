@@ -7,9 +7,9 @@ edges: every currently existing edge, edges between existing vertices that
 share a neighbour, and edges attaching each new vertex to the most popular
 existing vertices.  Edges between two new vertices are deliberately not
 generated.  ``HypotheticalGraph`` owns the candidate list, whose order is the
-column order of the constraint system, the row layout ``vertex_order``, and
-the column arrays derived from them (``endpoint_rows``, ``existing_mask``),
-each built once per graph and read-only.
+column order of the constraint system, its block sizes ``provenance_counts``,
+the row layout ``vertex_order``, and the column arrays derived from them
+(``endpoint_rows``, ``existing_mask``), each built once per graph and read-only.
 
 A candidate graph depends on the last snapshot, n_hat and k alone, so the
 cells of a gamma x u sweep share it: ``build_hypothetical`` forecasts n_hat
@@ -23,6 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -59,6 +60,7 @@ class HypotheticalGraph:
     n_hat: int
     new_vertex_ids: tuple[VertexId, ...]
     candidates: tuple[CandidateEdge, ...]
+    provenance_counts: tuple[int, int, int]  # per Provenance, in order: the blocks of candidates
 
     @property
     def new_vertex_count(self) -> int:
@@ -82,9 +84,7 @@ class HypotheticalGraph:
     @cached_property
     def existing_mask(self) -> np.ndarray:
         """(cols,) True at the candidates that are edges of the base snapshot, read-only."""
-        mask = np.array(
-            [c.provenance is Provenance.EXISTING for c in self.candidates], dtype=bool
-        )
+        mask = np.arange(len(self.candidates)) < self.provenance_counts[0]
         mask.flags.writeable = False
         return mask
 
@@ -158,14 +158,15 @@ def build_hypothetical(
 @lru_cache(maxsize=2)
 def _hypothetical(g: Graph, n_hat: int, n_new: int, k: int) -> HypotheticalGraph:
     next_id = max(g.vertices, default=-1) + 1
-    cands: list[CandidateEdge] = [
-        CandidateEdge(u, v, Provenance.EXISTING) for u, v in sorted(g.edges)
-    ]
-    cands.extend(homophily_candidates(g))
-    cands.extend(attachment_candidates(g, n_new, k, next_id))
+    blocks = (
+        [CandidateEdge(u, v, Provenance.EXISTING) for u, v in sorted(g.edges)],
+        homophily_candidates(g),
+        attachment_candidates(g, n_new, k, next_id),
+    )
     return HypotheticalGraph(
         base=g,
         n_hat=n_hat,
         new_vertex_ids=tuple(range(next_id, next_id + n_new)),
-        candidates=tuple(cands),
+        candidates=tuple(chain.from_iterable(blocks)),
+        provenance_counts=tuple(len(block) for block in blocks),
     )

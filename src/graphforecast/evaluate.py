@@ -132,6 +132,8 @@ def run_synthetic_experiment(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    if not horizons:
+        raise ValueError("horizons must be non-empty")
     length = T + max(horizons)
     cells: dict[int, list] = {h: [] for h in horizons}
     for run in range(runs):
@@ -163,6 +165,9 @@ def run_real_experiment(
 ) -> list[EvalReport]:
     """Moving-window protocol: for each T train on the `window` snapshots
     ending at T, predict every horizon, and average errors over T."""
+    for name, values in (("Ts", Ts), ("horizons", horizons)):
+        if not values:
+            raise ValueError(f"{name} must be non-empty")
     if max(Ts) + max(horizons) > len(series):
         raise ValueError(
             f"series has {len(series)} snapshots; need {max(Ts) + max(horizons)}"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import constraints, solver
-from .candidates import build_hypothetical
+from .candidates import Provenance, build_hypothetical
 from .graphs import Graph, GraphSeries
 
 log = logging.getLogger(__name__)
@@ -71,8 +71,6 @@ def predict(
             params.gamma, params.u, params.h, ilp.nodes_explored,
         )
     edges = [H.candidates[j].pair for j in np.flatnonzero(ilp.values)]
-    existing = int(H.existing_mask.sum())
-    attachment = H.new_vertex_count * min(params.k, H.base.vertex_count)
     vertices = set(H.base.vertices)
     vertices.update(H.new_vertex_ids)
     return PredictedGraph(
@@ -84,9 +82,7 @@ def predict(
             "ilp_objective": ilp.objective,
             "candidate_count": cs.n_cols,
             "candidates_by_provenance": {
-                "existing": existing,
-                "homophily": cs.n_cols - existing - attachment,
-                "attachment": attachment,
+                p.value: n for p, n in zip(Provenance, H.provenance_counts)
             },
             "n_hat": H.n_hat,
             "nodes_explored": ilp.nodes_explored,

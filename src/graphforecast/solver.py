@@ -2,8 +2,8 @@
 
 The problem is  max c.x  subject to  0 <= Mx <= f  and binary x, where every
 column of M has exactly two 1-entries among the vertex rows plus a 1 in the
-final all-ones row.  Binary activities are integers, so every solver accepts
-Mx <= f + FEAS_TOL, and solve_lp and solve_ilp work on floor(f + FEAS_TOL).
+final all-ones row.  Binary activities are integers, so Mx <= f + FEAS_TOL
+holds exactly when Mx <= floor(f + FEAS_TOL), the bounds both solvers use.
 Before the root LP, _forced fixes at 1 the top-weight columns that a
 dominance argument on the b-matching rows shows to be 1 in every LP and
 binary optimum (for the 1-versus-alpha weights: the existing edges at
@@ -23,8 +23,7 @@ root takes the path of every other node: its free columns are _free_columns'
 and its bound is _bound's.  A model handed a system with the same rows,
 columns and weights keeps its basis, so that system's root LP starts from
 the last optimum: predict_distribution shares one across its cells, and the
-u cells of a gamma differ only in their bounds.  brute_force enumerates
-every subset of the unreduced system for verification.
+u cells of a gamma differ only in their bounds.
 
 Because M is non-negative and the lower row bounds are zero, x = 0 is always
 feasible, so neither solver can fail on feasibility.
@@ -251,11 +250,10 @@ def solve_lp(cs: ConstraintSystem, model: LpModel | None = None) -> LpSolution:
     This is solve_ilp's root node: it relaxes the floored bounds, fixes the
     _forced columns at 1 (every LP optimum has them at 1, so the optimum is
     the unreduced relaxation's) and holds at 0 the columns no binary
-    selection can then take, so its objective bounds every selection
-    solve_ilp and brute_force can return.  It solves on ``model`` (a new,
-    cold one by default), whose basis the next solve starts from.  When
-    HiGHS stops at its iteration limit, the values are the fixings and the
-    objective is _bound's trivial one.
+    selection can then take, so its objective bounds every binary selection.
+    It solves on ``model`` (a new, cold one by default), whose basis the next
+    solve starts from.  When HiGHS stops at its iteration limit, the values
+    are the fixings and the objective is _bound's trivial one.
     """
     cs.validate()
     f = _floored_bounds(cs)
@@ -410,49 +408,3 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
         lp_iteration_limit_nodes=limited,
     )
 
-
-def brute_force(cs: ConstraintSystem) -> IlpSolution:
-    """Exhaustive enumeration oracle; subsets tried in ascending mask order.
-
-    Bit j of the mask is column j, so the first best subset found is the
-    lexicographically smallest binary vector among the optima.  Its
-    lp_objective and simplex_iterations are solve_lp's; no node LP is solved.
-    """
-    cs.validate()
-    C = cs.n_cols
-    if C > 25:
-        raise ValueError(f"brute force limited to 25 columns, got {C}")
-    dense = np.zeros((cs.n_rows, C))
-    dense[cs.column_rows, np.arange(C)[:, None]] = 1.0
-    f = cs.upper_bounds.astype(float)
-    c = cs.objective.astype(float)
-
-    best_mask = 0
-    best_obj = -np.inf
-    total = 1 << C
-    chunk = 1 << 16
-    bit_cols = np.arange(C, dtype=np.uint32)
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        bits = ((masks[:, None] >> bit_cols[None, :]) & 1).astype(float)
-        feasible = (bits @ dense.T <= f + FEAS_TOL).all(axis=1)
-        if not feasible.any():
-            continue
-        objs = bits @ c
-        objs[~feasible] = -np.inf
-        i = int(np.argmax(objs))  # first max = smallest mask in this chunk
-        if objs[i] > best_obj:
-            best_obj = float(objs[i])
-            best_mask = int(masks[i])
-    sel = np.array([(best_mask >> j) & 1 for j in range(C)], dtype=bool)
-    root = solve_lp(cs)
-    return IlpSolution(
-        values=sel.astype(np.int64),
-        objective=selection_objective(c, sel),
-        nodes_explored=total,
-        lp_objective=root.objective,
-        status="optimal",
-        forced_columns=0,
-        simplex_iterations=root.iterations,
-        lp_iteration_limit_nodes=0,
-    )

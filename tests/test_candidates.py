@@ -143,9 +143,9 @@ class TestBuildHypothetical:
         H = build_hypothetical(series, 1, 0.5, 2)
         g = series.last
         homo = homophily_candidates(g)
-        assert len(H.candidates) == g.edge_count + len(homo) + min(
-            2, g.vertex_count
-        ) * H.new_vertex_count
+        counts = (g.edge_count, len(homo), min(2, g.vertex_count) * H.new_vertex_count)
+        assert len(H.candidates) == sum(counts)
+        assert H.provenance_counts == counts
 
     def test_existing_edges_all_present_once(self):
         series = self.stable_path_series()
@@ -192,6 +192,11 @@ class TestBuildHypothetical:
         assert H.endpoint_rows.tolist() == [[row_of[c.u], row_of[c.v]] for c in H.candidates]
         assert H.existing_mask.tolist() == [
             c.provenance is Provenance.EXISTING for c in H.candidates
+        ]
+        # each provenance is one block of the candidates, in the enum's order
+        assert min(H.provenance_counts) > 0
+        assert [c.provenance for c in H.candidates] == [
+            p for p, n in zip(Provenance, H.provenance_counts) for _ in range(n)
         ]
         assert H.endpoint_rows.dtype == np.int64 and H.existing_mask.dtype == bool
         with pytest.raises(ValueError):

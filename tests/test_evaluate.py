@@ -97,6 +97,10 @@ class TestSyntheticExperiment:
                     1 - r.vertex_error / r.baseline_vertex_error
                 )
 
+    def test_empty_horizons_are_rejected(self):
+        with pytest.raises(ValueError, match="^horizons must be non-empty$"):
+            tiny_synthetic(horizons=[])
+
     def test_baseline_error_grows_with_horizon(self):
         reports = tiny_synthetic(runs=3, T=6, horizons=[1, 2, 3])
         bves = [r.baseline_vertex_error for r in reports]
@@ -127,6 +131,9 @@ class TestRealExperiment:
         series = self.make_series(10)
         with pytest.raises(ValueError):
             run_real_experiment(series, Ts=[8], horizons=[5], params=tiny_params(), window=8)
+        for Ts, horizons, name in (([], [1], "Ts"), ([8], [], "horizons")):
+            with pytest.raises(ValueError, match=f"^{name} must be non-empty$"):
+                run_real_experiment(series, Ts=Ts, horizons=horizons, params=tiny_params(), window=8)
 
     def test_edge_list_pipeline_matches_direct(self, tmp_path):
         series = self.make_series(12)

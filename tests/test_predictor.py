@@ -5,7 +5,8 @@ from graphforecast.candidates import Provenance, build_hypothetical
 from graphforecast.datagen import PaConfig, pa_sequence, uniform_band_schedule
 from graphforecast.graphs import Graph, GraphSeries
 from graphforecast.predictor import PredictParams, predict, predict_distribution
-from graphforecast.solver import brute_force
+
+from systems import exhaustive
 
 
 def small_pa_series(seed, length=9, base=8, step=2, width=2, s=2, s0=5):
@@ -48,7 +49,7 @@ class TestPredict:
 
     def test_decreasing_degree_can_drop_an_edge(self):
         # vertex 9's degree falls one edge per snapshot toward zero; the
-        # selection stays inside the candidate set and matches brute force
+        # selection stays inside the candidate set and matches the exhaustive oracle
         snaps = []
         for t in range(6):
             hub_edges = [(9, j) for j in range(5 - t)]
@@ -61,9 +62,7 @@ class TestPredict:
         cand_pairs = {c.pair for c in H.candidates}
         assert result.graph.edges <= cand_pairs
         cs = constraints.assemble(series, H, params.h, params.u, params.alpha)
-        if cs.n_cols <= 25:
-            oracle = brute_force(cs)
-            assert result.diagnostics["ilp_objective"] == oracle.objective
+        assert result.diagnostics["ilp_objective"] == exhaustive(cs).objective
 
     def test_one_node_prediction_solves_one_lp(self, monkeypatch):
         runs = []

@@ -8,90 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 from scipy.optimize import linprog
 
 from graphforecast import solver
 from graphforecast.constraints import ConstraintSystem
-from graphforecast.solver import (
-    LpStatus,
-    brute_force,
-    solve_ilp,
-    solve_lp,
-)
+from graphforecast.solver import LpStatus, solve_ilp, solve_lp
 
-
-def make_system(endpoints, bounds, coeffs, n_vertices=None):
-    endpoints = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
-    nv = n_vertices if n_vertices is not None else len(bounds) - 1
-    return ConstraintSystem(
-        row_vertices=tuple(range(nv)),
-        endpoint_rows=endpoints,
-        upper_bounds=np.asarray(bounds, dtype=float),
-        objective=np.asarray(coeffs, dtype=float),
-    )
-
-
-def incidence(cs):
-    """M from endpoint_rows alone: a 1 at each endpoint row and the total row of every column."""
-    C = cs.n_cols
-    rows = np.concatenate([cs.endpoint_rows.ravel(), np.full(C, cs.n_rows - 1)])
-    cols = np.concatenate([np.repeat(np.arange(C), 2), np.arange(C)])
-    return sparse.csr_array((np.ones(3 * C), (rows, cols)), shape=(cs.n_rows, C))
+from systems import exhaustive, floored, incidence, make_system, random_system
 
 
 def triangle_system(bounds=(1.0, 1.0, 1.0, 3.0), coeffs=(1.0, 1.0, 1.0)):
     return make_system([[0, 1], [0, 2], [1, 2]], bounds, coeffs)
-
-
-def enumerate_subsets(cs):
-    """Independent oracle: all subsets by ascending mask, plain Python."""
-    dense = incidence(cs).toarray()
-    best = (-1.0, None)
-    for mask in range(1 << cs.n_cols):
-        x = [(mask >> j) & 1 for j in range(cs.n_cols)]
-        act = dense @ np.array(x, dtype=float)
-        if (act <= cs.upper_bounds + 1e-6).all():
-            obj = float(np.dot(cs.objective, x))
-            if obj > best[0] + 1e-12:
-                best = (obj, x)
-    return best
-
-
-def floored(cs):
-    return np.floor(cs.upper_bounds + 1e-6)
-
-
-def optimal_subsets(cs):
-    """Every subset within 1e-9 of the best objective at the floored bounds, plain Python."""
-    bounds = floored(cs).tolist()
-    ends = cs.endpoint_rows.tolist()
-    weights = cs.objective.tolist()
-    scored = []
-    for x in itertools.product((0, 1), repeat=cs.n_cols):
-        act = [0] * cs.n_rows
-        for j, (a, b) in enumerate(ends):
-            if x[j]:
-                act[a] += 1
-                act[b] += 1
-                act[-1] += 1
-        if all(act[r] <= bounds[r] for r in range(cs.n_rows)):
-            scored.append((sum(w for w, xj in zip(weights, x) if xj), x))
-    best = max(obj for obj, _ in scored)
-    return [x for obj, x in scored if obj >= best - 1e-9]
-
-
-def random_system(rng):
-    nv = int(rng.integers(2, 7))
-    C = int(rng.integers(1, 13))
-    ea = rng.integers(0, nv, C)
-    eb = (ea + 1 + rng.integers(0, nv - 1, C)) % nv
-    return make_system(
-        np.column_stack([np.minimum(ea, eb), np.maximum(ea, eb)]),
-        rng.uniform(0, 4, nv + 1),
-        rng.choice([1.0, 1e-3], C),
-        n_vertices=nv,
-    )
 
 
 class TestSolveLp:
@@ -173,7 +100,7 @@ class TestForced:
     def test_nothing_is_forced(self, endpoints, bounds, coeffs):
         cs = make_system(endpoints, bounds, coeffs)
         assert not solver._forced(cs, floored(cs)).any()
-        assert any(not all(x) for x in optimal_subsets(cs))
+        assert not exhaustive(cs).selections.all(axis=1).all()
         assert solve_ilp(cs).forced_columns == 0
 
 
@@ -181,8 +108,7 @@ class TestSolveIlp:
     def test_triangle_picks_first_column(self):
         # oracle: exhaustive over the 8 subsets
         cs = triangle_system()
-        obj, x = enumerate_subsets(cs)
-        assert obj == pytest.approx(1.0)
+        assert exhaustive(cs).objective == pytest.approx(1.0)
         sol = solve_ilp(cs)
         assert sol.objective == pytest.approx(1.0)
         assert sol.values.tolist() == [1, 0, 0]
@@ -190,9 +116,8 @@ class TestSolveIlp:
     def test_two_candidates(self):
         # oracle: exhaustive over the 4 subsets
         cs = make_system([[0, 1], [0, 2]], [1.0, 2.0, 2.0, 2.0], [1.0, 1e-3])
-        obj, x = enumerate_subsets(cs)
         sol = solve_ilp(cs)
-        assert sol.objective == pytest.approx(obj)
+        assert sol.objective == pytest.approx(exhaustive(cs).objective)
         assert sol.values.tolist() == [1, 0]
 
     def test_root_bounds_and_fixings_come_from_solve_lp(self, monkeypatch):
@@ -249,10 +174,10 @@ class TestSolveIlp:
         for _ in range(200):
             cs = random_system(rng)
             a = solve_ilp(cs)
-            b = brute_force(cs)
+            b = exhaustive(cs)
             assert a.objective == b.objective
-            for sol in (a, b):
-                act = incidence(cs).toarray() @ sol.values
+            for values in (a.values, b.first):
+                act = incidence(cs).toarray() @ values
                 assert (act <= cs.upper_bounds + 1e-6).all()
 
     def test_matches_brute_force_on_tie_heavy_systems(self):
@@ -272,7 +197,7 @@ class TestSolveIlp:
                 n_vertices=nv,
             )
             a = solve_ilp(cs)
-            b = brute_force(cs)
+            b = exhaustive(cs)
             assert a.objective == b.objective
             act = incidence(cs).toarray() @ a.values
             assert (act <= cs.upper_bounds + 1e-6).all()
@@ -328,7 +253,7 @@ class TestIterationLimit:
         assert sol.values.tolist() == [0.0] * limited.n_cols
 
     def test_search_stays_exact_on_the_trivial_bound(self, limited, monkeypatch):
-        best = brute_force(limited).objective
+        best = exhaustive(limited).objective
         statuses = []
         solve = solver.LpModel.solve
 
@@ -365,33 +290,6 @@ def test_import_names_the_scipy_it_needs():
         "graphforecast.solver needs scipy >= 1.17 for its HiGHS binding "
         "(scipy.optimize._highspy._core)"
     ]
-
-
-class TestBruteForce:
-    def test_matches_plain_enumeration(self):
-        rng = np.random.default_rng(13)
-        for _ in range(30):
-            cs = random_system(rng)
-            obj, x = enumerate_subsets(cs)
-            sol = brute_force(cs)
-            assert sol.objective == pytest.approx(obj, abs=1e-12)
-
-    def test_huge_bounds_select_everything(self):
-        cs = make_system([[0, 1], [0, 2], [1, 2]], [99.0] * 4, [1.0, 1.0, 1e-3])
-        sol = brute_force(cs)
-        assert sol.values.tolist() == [1, 1, 1]
-
-    def test_budget_of_one(self):
-        cs = make_system([[0, 1], [0, 2]], [9.0, 9.0, 9.0, 1.0], [1.0, 1.0])
-        sol = brute_force(cs)
-        assert sol.objective == pytest.approx(1.0)
-        assert sol.values.tolist() == [1, 0]  # smallest mask among ties
-
-    def test_column_cap(self):
-        endpoints = [[0, 1]] * 26
-        cs = make_system(endpoints, [30.0, 30.0, 30.0], [1.0] * 26)
-        with pytest.raises(ValueError):
-            brute_force(cs)
 
 
 # bounds sit on or right next to integers, where flooring and the feasibility
@@ -443,28 +341,27 @@ def odd_cycle_systems(draw):
     )
 
 
-def check_ilp_matches_brute_force(cs):
+def check_ilp_matches_exhaustive(cs):
     ilp = solve_ilp(cs)
     # distinct optima differ by at least 1e-3; the slack only absorbs
     # float summation order among equal-value selections
-    assert ilp.objective == pytest.approx(brute_force(cs).objective, abs=1e-9)
+    assert ilp.objective == pytest.approx(exhaustive(cs).objective, abs=1e-9)
     assert (incidence(cs) @ ilp.values <= floored(cs)).all()
     assert set(ilp.values.tolist()) <= {0, 1}
     assert solve_lp(cs).objective >= ilp.objective - 1e-9
 
 
 def check_optima_hold_the_forced_columns(cs):
-    forced = np.flatnonzero(solver._forced(cs, floored(cs)))
-    for x in optimal_subsets(cs):
-        assert all(x[j] for j in forced)
-    assert solve_ilp(cs).forced_columns == len(forced)
+    forced = solver._forced(cs, floored(cs))
+    assert exhaustive(cs).selections[:, forced].all()
+    assert solve_ilp(cs).forced_columns == forced.sum()
 
 
 class TestSolverProperties:
     @settings(derandomize=True, deadline=None)
     @given(small_systems())
     def test_ilp_matches_brute_force_within_floored_bounds(self, cs):
-        check_ilp_matches_brute_force(cs)
+        check_ilp_matches_exhaustive(cs)
 
     @settings(derandomize=True, deadline=None)
     @given(small_systems())
@@ -474,7 +371,7 @@ class TestSolverProperties:
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(odd_cycle_systems())
     def test_branching_ilp_matches_brute_force(self, cs):
-        check_ilp_matches_brute_force(cs)
+        check_ilp_matches_exhaustive(cs)
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(odd_cycle_systems())

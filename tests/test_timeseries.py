@@ -682,3 +682,16 @@ class TestFallback:
         # an equal series, not the same object, finds the memoised forecast
         assert ts.forecast_with_fallback(ts.Series(tuple(values)), h) is first
         assert first == ts.forecast(ts.auto_fit(s), s, h)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.lists(st.integers(0, 30).map(float), min_size=1, max_size=19),
+        st.integers(1, 5),
+        st.integers(1, 5),
+    )
+    def test_a_forecast_is_the_prefix_of_a_longer_one(self, values, h, extra):
+        # the short-series fallback included; the memo is bypassed, so both are computed
+        forecast = ts._forecast_cached.__wrapped__
+        short, longer = forecast(tuple(values), h), forecast(tuple(values), h + extra)
+        assert short.means == longer.means[:h]
+        assert short.std_errs == longer.std_errs[:h]
