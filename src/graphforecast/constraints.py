@@ -69,13 +69,13 @@ class ConstraintSystem:
             self.column_rows.ravel(), weights=np.repeat(x, 3), minlength=self.n_rows
         )
 
-    def columns(self, cols: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """M[:, cols] in compressed-column form: entry count, column starts, rows, values."""
-        n = len(cols)
+    def columns(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """M in compressed-column form: entry count, column starts, rows, values."""
+        n = self.n_cols
         return (
             3 * n,
             np.arange(0, 3 * n, 3, dtype=np.int32),
-            self.column_rows[cols].ravel().astype(np.int32),
+            self.column_rows.ravel().astype(np.int32),
             np.ones(3 * n),
         )
 

@@ -125,28 +125,30 @@ def boundary_schedule(events: Sequence[EdgeEvent], granularity: str) -> list[int
     """End-of-period boundaries from the earliest event through the latest one.
 
     Calendar granularities align periods to UTC midnight of the first event's
-    day; tick granularities use absolute multiples of the tick size.
+    day; tick granularities use absolute multiples of the tick size, from the
+    first one at or after the earliest event, so leading empty windows are
+    dropped (the window count is still checked from tick 0).
     """
     if not events:
         raise ValueError("cannot derive boundaries from an empty event list")
     period = parse_granularity(granularity)
     t_min = min(ev.t for ev in events)
     t_max = max(ev.t for ev in events)
-    if period < 0:  # tick mode: boundaries k * size, the last one >= t_max
+    if period < 0:  # tick mode: boundaries k * size, the first one >= t_min, the last >= t_max
         size = -period
         count = max(1, -(-t_max // size))
-        offset = 0
+        offset, first = 0, max(1, -(-t_min // size))
     else:  # boundaries start + k * size - 1, the last one >= t_max
         size = period
         start = (t_min // _DAY) * _DAY
         count = -(-(t_max - start + 1) // size)
-        offset = start - 1
+        offset, first = start - 1, 1
     if count > MAX_WINDOWS:
         raise ValueError(
             f"granularity {granularity!r} splits the events into {count} windows "
             f"(more than {MAX_WINDOWS}); choose a coarser granularity"
         )
-    return [offset + k * size for k in range(1, count + 1)]
+    return [offset + k * size for k in range(first, count + 1)]
 
 
 def dump_edgelist(series: GraphSeries, path: str | Path) -> None:

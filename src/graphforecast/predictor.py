@@ -90,6 +90,8 @@ def predict(
             "forced_columns": ilp.forced_columns,
             "simplex_iterations": ilp.simplex_iterations,
             "lp_iteration_limit_nodes": ilp.lp_iteration_limit_nodes,
+            "degree_bound_total": float(ilp.bounds[:-1].sum()) / 2,
+            "edge_bound": float(ilp.bounds[-1]),
         },
     )
 

@@ -9,21 +9,20 @@ dominance argument on the b-matching rows shows to be 1 in every LP and
 binary optimum (for the 1-versus-alpha weights: the existing edges at
 vertices whose bound admits all their existing edges).
 
-An LpModel is one HiGHS model of a system's relaxation, driven through
-scipy's bundled binding with the settings of linprog's "highs-ds": presolve,
-then the serial dual simplex, which ends on a basic solution.  Fixings are
-column bounds: a column fixed at 1 gets lower bound 1, one fixed at 0 upper
-bound 0, and a column no binary selection can take stays out of the model
-(at 0) until a later solve lets it be nonzero.  solve_lp solves the root
-relaxation from the _forced fixings; solve_ilp runs depth-first branch and
-bound from them on the same model, its root node is solve_lp's solution, so a
-prediction solves the root LP once, and every further node changes only
-column bounds and restarts the dual simplex from its parent's basis.  The
-root takes the path of every other node: its free columns are _free_columns'
-and its bound is _bound's.  A model handed a system with the same rows,
-columns and weights keeps its basis, so that system's root LP starts from
-the last optimum: predict_distribution shares one across its cells, and the
-u cells of a gamma differ only in their bounds.
+An LpModel is one HiGHS model of a system's relaxation over all its columns,
+driven through scipy's bundled binding: presolve, then the simplex HiGHS
+chooses, which ends on a basic solution.  Fixings are column bounds: a column
+fixed at 1 gets lower bound 1, and one fixed at 0, or that no binary
+selection can take, upper bound 0.  solve_lp solves the root relaxation from
+the _forced fixings; solve_ilp runs depth-first branch and bound from them on
+the same model, its root node is solve_lp's solution, so a prediction solves
+the root LP once, and every further node changes only column bounds and
+restarts from its parent's basis.  The root takes the path of every other
+node: its free columns are _free_columns' and its bound is _bound's.  A model
+handed a system with the same rows, columns and weights keeps its basis, so
+that system's root LP starts from the last optimum: predict_distribution
+shares one across its cells, and the u cells of a gamma differ only in their
+bounds.
 
 Because M is non-negative and the lower row bounds are zero, x = 0 is always
 feasible, so neither solver can fail on feasibility.
@@ -81,6 +80,7 @@ class IlpSolution:
     forced_columns: int  # columns fixed at 1 before the root LP (_forced)
     simplex_iterations: int  # summed over the root and every node LP
     lp_iteration_limit_nodes: int  # nodes whose LP stopped at HiGHS's iteration limit
+    bounds: np.ndarray  # the floored row bounds of every node (_floored_bounds)
 
 
 def selection_objective(c: np.ndarray, mask: np.ndarray) -> float:
@@ -93,35 +93,25 @@ def selection_objective(c: np.ndarray, mask: np.ndarray) -> float:
     return float(np.sort(c[mask]).sum())
 
 
-# linprog(method="highs-ds")'s settings: presolve on, then the serial dual simplex
-_HIGHS_OPTIONS = {"output_flag": False, "presolve": "on", "solver": "simplex", "simplex_strategy": 1}
+# simplex_strategy 0 lets HiGHS choose: the primal simplex from the feasible
+# all-slack basis (x = 0) of a cold root, where few columns end nonzero, and the
+# dual simplex from the dual-feasible basis a bound change leaves (B&B nodes,
+# later sweep cells)
+_HIGHS_OPTIONS = {"output_flag": False, "presolve": "on", "solver": "simplex", "simplex_strategy": 0}
 
 
 class LpModel:
     """One HiGHS model of a system's LP relaxation, re-solved as its bounds change.
 
-    The model holds the columns some solve has let be nonzero; the others
-    stay at 0 without being passed to HiGHS.  A solve on the system already
-    loaded changes only bounds, adds the columns it newly lets be nonzero
-    (nonbasic at their lower bound), and starts from the basis the model
-    holds: the last solve's, or one put back with restore.  A new model, or a
-    system with other rows, columns or weights, is solved cold.
+    The model holds every column of the system.  A solve on the system already
+    loaded changes only row and column bounds and starts from the basis the
+    model holds: the last solve's, or one put back with restore.  A new model,
+    or a system with other rows, columns or weights, is built and solved cold.
     """
 
     def __init__(self):
         self._highs = self._system = None
-        self._held = self._rows = self._lower = self._upper = None
-
-    def _load(self, cs: ConstraintSystem, f: np.ndarray) -> None:
-        """A new model with cs's rows, bounded by f, and no columns yet."""
-        self._highs = _Highs()
-        for name, value in _HIGHS_OPTIONS.items():
-            self._highs.setOptionValue(name, value)
-        empty = np.zeros(cs.n_rows, dtype=np.int32)
-        self._highs.addRows(cs.n_rows, np.full(cs.n_rows, -kHighsInf), f, 0, empty, empty, empty)
-        self._system = cs  # only its rows, columns and weights count
-        self._held = np.zeros(0, dtype=np.int64)  # its columns in the model, in model order
-        self._rows, self._lower, self._upper = f, np.zeros(0), np.zeros(0)  # what HiGHS holds
+        self._rows = self._lower = self._upper = None  # the bounds HiGHS holds
 
     def solve(
         self, cs: ConstraintSystem, f: np.ndarray, lower: np.ndarray, upper: np.ndarray
@@ -136,30 +126,28 @@ class LpModel:
         if (lower == upper).all():
             return lower, LpStatus.OPTIMAL, 0
         loaded = self._system
-        if not (
+        if (
             loaded is not None
             and loaded.n_rows == cs.n_rows
             and np.array_equal(loaded.endpoint_rows, cs.endpoint_rows)
             and np.array_equal(loaded.objective, cs.objective)
         ):
-            self._load(cs, f)
-        for r in np.flatnonzero(f != self._rows):
-            self._highs.changeRowBounds(int(r), -kHighsInf, float(f[r]))
-        held = self._held
-        lo, up = lower[held], upper[held]
-        changed = np.flatnonzero((lo != self._lower) | (up != self._upper))
-        if changed.size:
-            self._highs.changeColsBounds(changed.size, changed.astype(np.int32), lo[changed], up[changed])
-        addable = upper != 0
-        addable[held] = False
-        added = np.flatnonzero(addable)
-        if added.size:
+            for r in np.flatnonzero(f != self._rows):
+                self._highs.changeRowBounds(int(r), -kHighsInf, float(f[r]))
+            changed = np.flatnonzero((lower != self._lower) | (upper != self._upper)).astype(np.int32)
+            if changed.size:
+                self._highs.changeColsBounds(changed.size, changed, lower[changed], upper[changed])
+        else:
+            self._highs = _Highs()
+            for name, value in _HIGHS_OPTIONS.items():
+                self._highs.setOptionValue(name, value)
+            empty = np.zeros(cs.n_rows, dtype=np.int32)
+            self._highs.addRows(cs.n_rows, np.full(cs.n_rows, -kHighsInf), f, 0, empty, empty, empty)
             self._highs.addCols(
-                added.size, -cs.objective[added].astype(float), lower[added], upper[added],
-                *cs.columns(added),
+                cs.n_cols, -cs.objective.astype(float), lower, upper, *cs.columns()
             )  # HiGHS minimises
-            held = self._held = np.concatenate([held, added])
-        self._rows, self._lower, self._upper = f, lower[held], upper[held]
+            self._system = cs  # only its rows, columns and weights count
+        self._rows, self._lower, self._upper = f, lower, upper
 
         self._highs.run()
         status = self._highs.getModelStatus()
@@ -170,8 +158,7 @@ class LpModel:
             raise RuntimeError(
                 f"HiGHS could not solve the LP: {self._highs.modelStatusToString(status)}"
             )
-        x = lower.copy()
-        x[held] = np.clip(self._highs.getSolution().col_value, 0.0, 1.0)
+        x = np.clip(self._highs.getSolution().col_value, 0.0, 1.0)
         fixed = lower == upper
         x[fixed] = lower[fixed]  # exactly, where HiGHS may be off by a rounding error
         return x, LpStatus.OPTIMAL, iterations
@@ -289,8 +276,8 @@ def _min_improvement(c: np.ndarray) -> float:
 def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution:
     """Globally optimal binary selection via depth-first branch and bound.
 
-    Each node solves its LP relaxation over the free columns (HiGHS dual
-    simplex, a basic solution, started from its parent's basis) and offers
+    Each node solves its LP relaxation over the free columns (a basic
+    solution, HiGHS started from its parent's basis) and offers
     that solution, rounded down and completed greedily, as an incumbent.  A
     node ends when its solution is integral or its relaxation bound cannot
     strictly beat the incumbent; otherwise it branches on the most fractional
@@ -406,5 +393,6 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
         forced_columns=int(forced.sum()),
         simplex_iterations=iterations,
         lp_iteration_limit_nodes=limited,
+        bounds=f,
     )
 

@@ -90,6 +90,13 @@ class TestPredict:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_ticks_that_start_after_tick_1(self, tmp_path):
+        # ticks 1-4 hold no event, so the windows are ticks 5-10, not an empty first one
+        inp, out = tmp_path / "late.txt", tmp_path / "pred.txt"
+        inp.write_text("1 2 5\n2 3 6\n3 4 7\n1 3 8\n4 5 9\n2 5 10\n")
+        run(["predict", "--input", str(inp), "--out", str(out), "--granularity", "ticks:1"])
+        assert {e.t for e in parse_edgelist(out)} == {7}  # 6 windows + horizon 1
+
 
 class TestEvalSynth:
     def test_csv_output(self, tmp_path):
@@ -162,14 +169,16 @@ class TestSweep:
 
 
 # runs with exactly one prediction whose root LP is fractional, so its search
-# branches; (snapshots of the synthetic input or None, argv).  The sweep's
-# branching cell comes first: the later u cell starts from its basis
-SYNTH_ARGS = ["--s", "2", "--s0", "3", "--base", "0", "--step", "4", "--width", "1", "--seed", "10"]
+# branches; ((snapshots, seed) of the synthetic input or None, argv).  The
+# sweep's branching cell is its second: the u = 0.8 cell, which starts from the
+# u = 0.95 cell's basis
+SYNTH_ARGS = ["--s", "2", "--s0", "3", "--base", "0", "--step", "4", "--width", "1"]
 BRANCHING_RUNS = {
-    "sweep": (5, ["sweep", "--input", "IN", "--out", "OUT", "--granularity", "ticks:1",
-                  "--gammas", "0.5", "--us", "0.95,0.8", "--k", "3"]),
-    "eval-real": (6, ["eval-real", "--input", "IN", "--out", "OUT", "--granularity", "ticks:1",
-                      "--Ts", "5", "--horizons", "1", "--window", "5", "--u", "0.95", "--k", "3"]),
+    "sweep": ((5, 203), ["sweep", "--input", "IN", "--out", "OUT", "--granularity", "ticks:1",
+                         "--gammas", "0.5", "--us", "0.95,0.8", "--k", "3"]),
+    "eval-real": ((6, 116), ["eval-real", "--input", "IN", "--out", "OUT",
+                             "--granularity", "ticks:1", "--Ts", "5", "--horizons", "1",
+                             "--window", "5", "--u", "0.95", "--k", "3"]),
     "eval-synth": (None, ["eval-synth", "--out", "OUT", "--runs", "1", "--T", "5",
                           "--horizons", "1", "--s", "2", "--s0", "3", "--base", "0",
                           "--step", "8", "--width", "1", "--u", "0.5", "--k", "3",
@@ -180,10 +189,12 @@ BRANCHING_RUNS = {
 class TestNodeCap:
     @pytest.mark.parametrize("command", sorted(BRANCHING_RUNS))
     def test_capped_prediction_is_reported(self, command, tmp_path, monkeypatch, caplog):
-        snapshots, argv = BRANCHING_RUNS[command]
+        synth, argv = BRANCHING_RUNS[command]
         inp, out = tmp_path / "in.txt", tmp_path / "out.csv"
-        if snapshots:
-            run(["synth", "--out", str(inp), "--snapshots", str(snapshots)] + SYNTH_ARGS)
+        if synth:
+            snapshots, seed = synth
+            run(["synth", "--out", str(inp), "--snapshots", str(snapshots), "--seed", str(seed)]
+                + SYNTH_ARGS)
         argv = [{"IN": str(inp), "OUT": str(out)}.get(a, a) for a in argv]
         counts = []
         for cap in (solver.NODE_CAP, 1):

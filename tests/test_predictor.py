@@ -6,7 +6,7 @@ from graphforecast.datagen import PaConfig, pa_sequence, uniform_band_schedule
 from graphforecast.graphs import Graph, GraphSeries
 from graphforecast.predictor import PredictParams, predict, predict_distribution
 
-from systems import exhaustive
+from systems import exhaustive, floored
 
 
 def small_pa_series(seed, length=9, base=8, step=2, width=2, s=2, s0=5):
@@ -148,6 +148,15 @@ class TestPredict:
             kinds[c.provenance.value] += 1
         assert result.diagnostics["candidates_by_provenance"] == kinds
         assert kinds["attachment"] > 0 and kinds["homophily"] > 0
+
+    def test_bound_totals(self):
+        series = small_pa_series(2).window(1, 7)
+        params = PredictParams(k=3)
+        result = predict(series, params)
+        H = build_hypothetical(series, params.h, params.gamma, params.k)
+        f = floored(constraints.assemble(series, H, params.h, params.u, params.alpha))
+        assert result.diagnostics["degree_bound_total"] == f[:-1].sum() / 2
+        assert result.diagnostics["edge_bound"] == f[-1]
 
     def test_deterministic(self):
         series = small_pa_series(3).window(1, 7)
