@@ -3,6 +3,11 @@
 Predictions are scored against the actual future snapshot with absolute
 relative errors of the vertex and edge counts, and contrasted with the
 "last seen" baseline that reuses the final training snapshot unchanged.
+Both protocols score through one loop, ``_evaluate``: a protocol only
+yields its windows (training series, full series, T), the synthetic one a
+generated series per run and the moving-window one a window per T.  Each
+window is predicted at every horizon h and scored, with its baseline,
+against snapshot T + h, and the errors are averaged over the windows.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -72,40 +77,30 @@ def _reduction(proposed: float, baseline: float) -> float:
     return 1.0 - proposed / baseline if baseline > 0 else 0.0
 
 
-def _aggregate(
+def _evaluate(
+    windows: Iterable[tuple[GraphSeries, GraphSeries, int]],
     horizons: Sequence[int],
-    cells: dict[int, list[tuple[float, float, float, float]]],
+    params: PredictParams,
 ) -> list[EvalReport]:
-    reports = []
-    for h in horizons:
-        arr = np.array(cells[h])
-        ve, ee, bve, bee = arr.mean(axis=0)
-        reports.append(
-            EvalReport(
-                horizon=h,
-                vertex_error=float(ve),
-                edge_error=float(ee),
-                baseline_vertex_error=float(bve),
-                baseline_edge_error=float(bee),
-                reduction_vertex=_reduction(float(ve), float(bve)),
-                reduction_edge=_reduction(float(ee), float(bee)),
-            )
-        )
-    return reports
+    """Score every window at every horizon and average the errors per horizon.
 
-
-def _score(
-    train: GraphSeries, full: GraphSeries, T: int, h: int, params: PredictParams
-) -> tuple[float, float, float, float]:
-    actual = full.snapshot(T + h)
-    baseline = train.last
-    predicted = predict(train, replace(params, h=h))
-    return (
-        vertex_error(predicted.graph, actual),
-        edge_error(predicted.graph, actual),
-        vertex_error(baseline, actual),
-        edge_error(baseline, actual),
-    )
+    A window is (train, full, T): the prediction from ``train`` at horizon h
+    and the last-seen baseline ``train.last`` are both scored against
+    ``full.snapshot(T + h)``.
+    """
+    cells = []  # per window, per horizon: vertex, edge, baseline vertex, baseline edge
+    for train, full, T in windows:
+        row = []
+        for h in horizons:
+            actual = full.snapshot(T + h)
+            predicted = predict(train, replace(params, h=h)).graph
+            row.append([err(g, actual) for g in (predicted, train.last)
+                        for err in (vertex_error, edge_error)])
+        cells.append(row)
+    return [
+        EvalReport(h, ve, ee, bve, bee, _reduction(ve, bve), _reduction(ee, bee))
+        for h, (ve, ee, bve, bee) in zip(horizons, np.mean(cells, axis=0).tolist())
+    ]
 
 
 def run_synthetic_experiment(
@@ -118,13 +113,12 @@ def run_synthetic_experiment(
     s: int = SYNTH_S,
     s0: int = SYNTH_S0,
     schedule: tuple[int, int, int] = SYNTH_SCHEDULE,
-    delete_range: tuple[int, int] = SYNTH_DELETE_RANGE,
 ) -> list[EvalReport]:
     """Preferential-attachment protocol: train on the first T snapshots of each
     generated series, predict every horizon, and average errors over runs.
 
-    Experiment 2 additionally deletes a random handful of edges after each
-    growth step.
+    Experiment 2 additionally deletes SYNTH_DELETE_RANGE random edges after
+    each growth step.
     """
     if experiment not in (1, 2):
         raise ValueError("experiment must be 1 or 2")
@@ -134,26 +128,24 @@ def run_synthetic_experiment(
         raise ValueError(f"T must be >= 1, got {T}")
     if not horizons:
         raise ValueError("horizons must be non-empty")
-    length = T + max(horizons)
-    cells: dict[int, list] = {h: [] for h in horizons}
-    for run in range(runs):
-        cfg = PaConfig(
-            s=s,
-            s0=s0,
-            length=length,
-            schedule=uniform_band_schedule(*schedule),
-            seed=run_seed(seed, run, 0),
-        )
-        series = pa_sequence(cfg)
-        if experiment == 2:
-            series = delete_edges(
-                series, delete_range[0], delete_range[1], run_seed(seed, run, 1)
+
+    def windows():
+        for run in range(runs):
+            cfg = PaConfig(
+                s=s,
+                s0=s0,
+                length=T + max(horizons),
+                schedule=uniform_band_schedule(*schedule),
+                seed=run_seed(seed, run, 0),
             )
-        train = series.window(1, T)
-        for h in horizons:
-            cells[h].append(_score(train, series, T, h, params))
-        log.debug("synthetic run %d/%d scored", run + 1, runs)
-    return _aggregate(horizons, cells)
+            series = pa_sequence(cfg)
+            if experiment == 2:
+                series = delete_edges(series, *SYNTH_DELETE_RANGE, run_seed(seed, run, 1))
+            yield series.window(1, T), series, T
+            # resumed once _evaluate has scored this run
+            log.debug("synthetic run %d/%d scored", run + 1, runs)
+
+    return _evaluate(windows(), horizons, params)
 
 
 def run_real_experiment(
@@ -176,12 +168,9 @@ def run_real_experiment(
         raise ValueError(f"window must be >= 1, got {window}")
     if min(Ts) < window:
         raise ValueError(f"T={min(Ts)} leaves no room for a window of {window}")
-    cells: dict[int, list] = {h: [] for h in horizons}
-    for T in Ts:
-        train = series.window(T - window + 1, T)
-        for h in horizons:
-            cells[h].append(_score(train, series, T, h, params))
-    return _aggregate(horizons, cells)
+    return _evaluate(
+        ((series.window(T - window + 1, T), series, T) for T in Ts), horizons, params
+    )
 
 
 def write_reports_csv(

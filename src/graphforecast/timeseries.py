@@ -153,15 +153,14 @@ def _regressors(w: np.ndarray, p: int) -> np.ndarray:
 
 
 def _ols_ar_fit(w, p):
-    """Least-squares fit of w_t on an intercept and p lags; exact CSS optimum for q=0."""
+    """Least-squares fit of w_t on an intercept and p lags, with its residuals
+    over t = p..n-1; the exact CSS optimum for q=0."""
     if p == 0:
         c = float(np.mean(w))
-        resid = w - c
-        return np.array([c]), float(resid @ resid)
+        return np.array([c]), w - c
     yX = _regressors(w, p)
     beta, *_ = np.linalg.lstsq(yX[:, 1:], yX[:, 0], rcond=None)
-    resid = yX[:, 0] - yX[:, 1:] @ beta
-    return beta, float(resid @ resid)
+    return beta, yX[:, 0] - yX[:, 1:] @ beta
 
 
 def _project_region(params: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -179,21 +178,14 @@ def _hannan_rissanen_start(w: np.ndarray, p: int, q: int) -> np.ndarray:
     """Two-stage regression start: residuals of a long AR feed a lagged-error fit."""
     n = len(w)
     L = min(max(p + q, 2), max((n - 1) // 2, 1))
-    beta, _ = _ols_ar_fit(w, L)
-    yX = _regressors(w, L)
     e = np.zeros(n)
-    e[L:] = yX[:, 0] - yX[:, 1:] @ beta
+    e[L:] = _ols_ar_fit(w, L)[1]
     m = max(p, q) + L
     if n - m < p + q + 2:
         return np.concatenate([_ols_ar_fit(w, p)[0], np.zeros(q)])
-    y = w[m:]
-    cols = [np.ones(n - m)]
-    for i in range(p):
-        cols.append(w[m - 1 - i : n - 1 - i])
-    for j in range(q):
-        cols.append(e[m - 1 - j : n - 1 - j])
-    X = np.column_stack(cols)
-    beta2, *_ = np.linalg.lstsq(X, y, rcond=None)
+    yX = _regressors(w, p)[m - p :]
+    X = np.hstack([yX[:, 1:], _regressors(e, q)[m - q :, 2:]])
+    beta2, *_ = np.linalg.lstsq(X, yX[:, 0], rcond=None)
     return beta2
 
 
@@ -384,7 +376,8 @@ def fit(series: Series, p: int, d: int, q: int) -> ArimaFit:
         )
     w = np.asarray(difference(series, d).values, dtype=float)
     if q == 0:
-        params, rss = _ols_ar_fit(w, p)
+        params, resid = _ols_ar_fit(w, p)
+        rss = float(resid @ resid)
         start = _project_region(params, p, q)
         if not np.array_equal(start, params):
             params, rss = _lm_fit(w, p, q, start)

@@ -10,6 +10,7 @@ import pytest
 from graphforecast import solver
 from graphforecast.cli import _build_parser, main
 from graphforecast.ingest import expanding_windows, parse_edgelist
+from graphforecast.predictor import PredictParams
 
 
 def run(args):
@@ -168,21 +169,23 @@ class TestSweep:
         assert len(rows) == 5
 
 
-# runs with exactly one prediction whose root LP is fractional, so its search
-# branches; ((snapshots, seed) of the synthetic input or None, argv).  The
+# runs with exactly one prediction that branches: its root LP bound exceeds
+# its optimum by at least alpha, the objective's lattice spacing, so no basic
+# optimum of the root LP is integral and the search branches under either
+# simplex; ((snapshots, seed) of the synthetic input or None, argv).  The
 # sweep's branching cell is its second: the u = 0.8 cell, which starts from the
-# u = 0.95 cell's basis
+# u = 0.95 cell's basis.  eval-real's one window is that cell's series
 SYNTH_ARGS = ["--s", "2", "--s0", "3", "--base", "0", "--step", "4", "--width", "1"]
 BRANCHING_RUNS = {
     "sweep": ((5, 203), ["sweep", "--input", "IN", "--out", "OUT", "--granularity", "ticks:1",
                          "--gammas", "0.5", "--us", "0.95,0.8", "--k", "3"]),
-    "eval-real": ((6, 116), ["eval-real", "--input", "IN", "--out", "OUT",
+    "eval-real": ((6, 203), ["eval-real", "--input", "IN", "--out", "OUT",
                              "--granularity", "ticks:1", "--Ts", "5", "--horizons", "1",
-                             "--window", "5", "--u", "0.95", "--k", "3"]),
+                             "--window", "5", "--u", "0.8", "--k", "3"]),
     "eval-synth": (None, ["eval-synth", "--out", "OUT", "--runs", "1", "--T", "5",
                           "--horizons", "1", "--s", "2", "--s0", "3", "--base", "0",
-                          "--step", "8", "--width", "1", "--u", "0.5", "--k", "3",
-                          "--seed", "5"]),
+                          "--step", "4", "--width", "1", "--u", "0.8", "--k", "3",
+                          "--seed", "34"]),
 }
 
 
@@ -196,6 +199,15 @@ class TestNodeCap:
             run(["synth", "--out", str(inp), "--snapshots", str(snapshots), "--seed", str(seed)]
                 + SYNTH_ARGS)
         argv = [{"IN": str(inp), "OUT": str(out)}.get(a, a) for a in argv]
+        solve_ilp, uncapped = solver.solve_ilp, []
+
+        def recording(cs, model=None):
+            ilp = solve_ilp(cs, model)
+            if solver.NODE_CAP > 1:
+                uncapped.append(ilp)
+            return ilp
+
+        monkeypatch.setattr(solver, "solve_ilp", recording)
         counts = []
         for cap in (solver.NODE_CAP, 1):
             monkeypatch.setattr(solver, "NODE_CAP", cap)
@@ -208,6 +220,8 @@ class TestNodeCap:
                 meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
                 assert meta["params"]["node_cap_predictions"] == len(warnings)
         assert counts == [0, 1]
+        gaps = [s.lp_objective - s.objective for s in uncapped if s.nodes_explored > 1]
+        assert len(gaps) == 1 and gaps[0] >= PredictParams().alpha
 
 
 class TestCrossProcess:

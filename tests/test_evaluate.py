@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphforecast import evaluate
-from graphforecast.datagen import PaConfig, pa_sequence, uniform_band_schedule
+from graphforecast.datagen import PaConfig, delete_edges, pa_sequence, run_seed, uniform_band_schedule
 from graphforecast.evaluate import (
     EvalReport,
     edge_error,
@@ -67,7 +67,7 @@ def tiny_params():
 def tiny_synthetic(**kw):
     defaults = dict(
         experiment=1, runs=2, T=6, horizons=[1, 2], params=tiny_params(), seed=5,
-        s=2, s0=5, schedule=(8, 2, 2), delete_range=(1, 2),
+        s=2, s0=5, schedule=(8, 2, 2),
     )
     defaults.update(kw)
     return run_synthetic_experiment(**defaults)
@@ -158,6 +158,27 @@ class TestRealExperiment:
             r = run_real_experiment(series, Ts=[T], horizons=[1], params=tiny_params(), window=8)
             per_T.append(r[0].vertex_error)
         assert reports[0].vertex_error == pytest.approx(float(np.mean(per_T)))
+
+
+class TestOneScoringRule:
+    @pytest.mark.parametrize("experiment", [1, 2])
+    def test_one_run_is_one_moving_window(self, experiment):
+        # a synthetic run is the moving window of length T ending at T over
+        # the series it generates, so both protocols score it alike
+        T, horizons, seed, s, s0, schedule = 6, [1, 2], 5, 3, 8, (10, 3, 2)
+        cfg = PaConfig(
+            s=s, s0=s0, length=T + max(horizons), schedule=uniform_band_schedule(*schedule),
+            seed=run_seed(seed, 0, 0),
+        )
+        series = pa_sequence(cfg)
+        if experiment == 2:
+            series = delete_edges(series, *evaluate.SYNTH_DELETE_RANGE, run_seed(seed, 0, 1))
+        synthetic = tiny_synthetic(
+            experiment=experiment, runs=1, T=T, horizons=horizons, seed=seed,
+            s=s, s0=s0, schedule=schedule,
+        )
+        real = run_real_experiment(series, Ts=[T], horizons=horizons, params=tiny_params(), window=T)
+        assert synthetic == real
 
 
 class TestCsvOutput:
