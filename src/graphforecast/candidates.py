@@ -14,7 +14,9 @@ the row layout ``vertex_order``, and the column arrays derived from them
 A candidate graph depends on the last snapshot, n_hat and k alone, so the
 cells of a gamma x u sweep share it: ``build_hypothetical`` forecasts n_hat
 in every call, keeps the graphs of its last two (snapshot, n_hat, k) keys,
-and returns the same object for a repeated key.
+and returns the same object for a repeated key.  ``homophily_candidates``
+keeps the candidate tuples of the last two snapshots it was given, so the
+candidate graphs of one snapshot share one homophily block.
 """
 
 from __future__ import annotations
@@ -99,8 +101,11 @@ def predict_vertex_count(series: GraphSeries, h: int, gamma: float) -> tuple[int
     return n_hat, max(n_hat - series.last.vertex_count, 0)
 
 
-@lru_cache(maxsize=16)
-def _homophily_pairs(g: Graph) -> tuple[Edge, ...]:
+# Two entries, like _hypothetical's: its callers build one snapshot's candidate
+# graphs in a row and never return to an earlier snapshot.
+@lru_cache(maxsize=2)
+def homophily_candidates(g: Graph) -> tuple[CandidateEdge, ...]:
+    """Non-adjacent vertex pairs with at least one common neighbour, in sorted order."""
     pairs: set[Edge] = set()
     existing = g.edges
     for w in g.vertices:
@@ -110,12 +115,7 @@ def _homophily_pairs(g: Graph) -> tuple[Edge, ...]:
                 pair = (nbrs[i], nbrs[j])
                 if pair not in existing:
                     pairs.add(pair)
-    return tuple(sorted(pairs))
-
-
-def homophily_candidates(g: Graph) -> list[CandidateEdge]:
-    """Non-adjacent vertex pairs with at least one common neighbour."""
-    return [CandidateEdge(u, v, Provenance.HOMOPHILY) for u, v in _homophily_pairs(g)]
+    return tuple(CandidateEdge(u, v, Provenance.HOMOPHILY) for u, v in sorted(pairs))
 
 
 def attachment_candidates(

@@ -114,7 +114,10 @@ def parse_granularity(spec: str) -> int:
     if name == "biweekly":
         return 14 * _DAY
     if name.startswith("ticks:"):
-        n = int(name.split(":", 1)[1])
+        try:
+            n = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"unknown granularity {spec!r}") from None
         if n < 1:
             raise ValueError("ticks granularity must be >= 1")
         return -n  # negative marks tick mode (no calendar alignment)

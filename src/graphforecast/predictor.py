@@ -71,10 +71,8 @@ def predict(
             params.gamma, params.u, params.h, ilp.nodes_explored,
         )
     edges = [H.candidates[j].pair for j in np.flatnonzero(ilp.values)]
-    vertices = set(H.base.vertices)
-    vertices.update(H.new_vertex_ids)
     return PredictedGraph(
-        graph=Graph(vertices, edges),
+        graph=Graph(H.vertex_order, edges),
         params=params,
         horizon_origin=len(series),
         diagnostics={

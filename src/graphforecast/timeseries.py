@@ -20,7 +20,10 @@ recursion from the in-sample residuals of the same CSS kernel, and their
 predictive intervals are the usual Gaussian psi-weight approximation, whose
 quantiles are the standard library's NormalDist.inv_cdf (Wichura's AS241).
 ``upper_bound`` turns a count series into its forecast quantile clamped at
-0, the one form every count forecast of the prediction takes.
+0, the one form every count forecast of the prediction takes.  ``auto_fit``
+and ``forecast_with_fallback`` are memoised by the series they take, which
+hashes by value, so a sweep's cells and a protocol's horizons fit and
+forecast each distinct series once.
 """
 
 from __future__ import annotations
@@ -429,8 +432,19 @@ def _kpss_d(values: tuple[float, ...]) -> int:
 
 
 @lru_cache(maxsize=8192)
-def _auto_fit_cached(values: tuple[float, ...]) -> ArimaFit:
-    series = Series(values)
+def auto_fit(series: Series) -> ArimaFit:
+    """Select an ARIMA order as auto.arima does and return its fit.
+
+    d is the number of differences KPSS asks for (``_kpss_d``).  At that d,
+    the search starts from the best of (2,2), (0,0), (1,0) and (0,1) and
+    moves to the best neighbouring (p +- 1, q +- 1) cell while one lowers
+    the key (AICc, p+q, d, p) (Hyndman & Khandakar, J. Stat. Softw. 27(3),
+    2008).  Cells whose fit does not converge are skipped.  The fit is
+    memoised by the series' values.
+    """
+    if len(series) < 4:
+        raise ValueError(f"auto_fit needs at least 4 observations, got {len(series)}")
+    values = series.values
     if len(set(values)) == 1:
         # Every cell fits a constant series exactly, and (0,0,0), with the
         # fewest parameters, has the least AICc.
@@ -461,20 +475,6 @@ def _auto_fit_cached(values: tuple[float, ...]) -> ArimaFit:
         if key(step) >= key(best):
             return fits[best]
         best = step
-
-
-def auto_fit(series: Series) -> ArimaFit:
-    """Select an ARIMA order as auto.arima does and return its fit.
-
-    d is the number of differences KPSS asks for (``_kpss_d``).  At that d,
-    the search starts from the best of (2,2), (0,0), (1,0) and (0,1) and
-    moves to the best neighbouring (p +- 1, q +- 1) cell while one lowers
-    the key (AICc, p+q, d, p) (Hyndman & Khandakar, J. Stat. Softw. 27(3),
-    2008).  Cells whose fit does not converge are skipped.
-    """
-    if len(series) < 4:
-        raise ValueError(f"auto_fit needs at least 4 observations, got {len(series)}")
-    return _auto_fit_cached(series.values)
 
 
 def _psi_weights(fit_: ArimaFit, h: int) -> np.ndarray:
@@ -535,30 +535,22 @@ def quantile(forecast_: Forecast, step: int, q: float) -> float:
         raise ValueError(f"step {step} outside forecast horizon 1..{forecast_.horizon}")
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must lie strictly between 0 and 1")
-    se = forecast_.std_errs[step - 1]
-    if se == 0.0 or q == 0.5:
-        return forecast_.means[step - 1]
-    return forecast_.means[step - 1] + _STANDARD_NORMAL.inv_cdf(q) * se
+    return forecast_.means[step - 1] + _STANDARD_NORMAL.inv_cdf(q) * forecast_.std_errs[step - 1]
 
 
+@lru_cache(maxsize=8192)
 def forecast_with_fallback(series: Series, h: int) -> Forecast:
     """Forecast via auto_fit, or a last-value carry for series shorter than 4.
 
     The fallback uses the last observation as the mean at every step and the
     sample standard deviation (0 for a single point) as the spread, so young
     vertices with brief histories never fail the pipeline.  The result is
-    memoised by (values, h): a sweep's cells, and vertices with equal degree
+    memoised by (series, h): a sweep's cells, and vertices with equal degree
     histories, forecast each distinct series once.
     """
-    return _forecast_cached(series.values, h)
-
-
-@lru_cache(maxsize=8192)
-def _forecast_cached(values: tuple[float, ...], h: int) -> Forecast:
-    series = Series(values)
     if len(series) >= 4:
         return forecast(auto_fit(series), series, h)
-    vals = np.asarray(values, dtype=float)
+    vals = np.asarray(series.values, dtype=float)
     sd = float(np.std(vals, ddof=1)) if len(vals) >= 2 else 0.0
     return Forecast((float(vals[-1]),) * h, (sd,) * h)
 

@@ -2,9 +2,12 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphforecast import candidates
 from graphforecast.candidates import (
+    CandidateEdge,
     Provenance,
     attachment_candidates,
     build_hypothetical,
@@ -21,6 +24,15 @@ def growing_series(counts, edge_maker):
 
 def path_graph(ids):
     return Graph(ids, list(zip(ids, ids[1:])))
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 12 vertices with ids in 0..29, and any set of their pairs as edges."""
+    vertices = sorted(draw(st.sets(st.integers(0, 29), max_size=12)))
+    pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(vertices, edges)
 
 
 class TestPredictVertexCount:
@@ -64,12 +76,27 @@ class TestHomophilyCandidates:
 
     def test_triangle_gives_none(self):
         g = Graph([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
-        assert homophily_candidates(g) == []
+        assert homophily_candidates(g) == ()
 
     def test_star_pairs_leaves(self):
         g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
         cands = homophily_candidates(g)
         assert [(c.u, c.v) for c in cands] == [(1, 2), (1, 3), (2, 3)]
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(small_graphs())
+    def test_equals_the_brute_force_pairs(self, g):
+        vs = sorted(g.vertices)
+        expected = [
+            CandidateEdge(u, v, Provenance.HOMOPHILY)
+            for u in vs
+            for v in vs
+            if u < v and not g.has_edge(u, v) and g.neighbors(u) & g.neighbors(v)
+        ]
+        cands = homophily_candidates(g)
+        assert list(cands) == expected
+        # an equal graph built separately finds the memoised tuple
+        assert homophily_candidates(Graph(vs, g.edges)) is cands
 
     def test_common_neighbour_invariant(self):
         g = Graph.from_edges(

@@ -344,8 +344,10 @@ class TestBadInput:
               "--Ts", "6-7", "--horizons", "1,2", "--window", "0"], "window must be >= 1"),
             (["eval-synth", "--out", "OUT", "--runs", "0"], "runs must be >= 1"),
             (["eval-synth", "--out", "OUT", "--runs", "1", "--T", "0"], "T must be >= 1"),
+            (["predict", "--input", "IN", "--out", "OUT", "--granularity", "ticks:abc"],
+             "unknown granularity 'ticks:abc'"),
         ],
-        ids=["train-window", "window", "runs", "T"],
+        ids=["train-window", "window", "runs", "T", "granularity"],
     )
     def test_out_of_range_count_is_a_one_line_error(
         self, small_edgelist, tmp_path, capsys, argv, message

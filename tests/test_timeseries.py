@@ -511,7 +511,7 @@ class TestAutoFit:
     def test_skipped_cell_is_reported(self, monkeypatch, caplog):
         values = ar1_series(0.7, 40, 0)
         s = ts.Series.from_values(values)
-        ts._auto_fit_cached.cache_clear()
+        ts.auto_fit.cache_clear()
         best = ts.auto_fit(s)
         assert (best.p, best.d, best.q) == (1, 0, 0)
         fit = ts.fit
@@ -522,14 +522,14 @@ class TestAutoFit:
             return fit(series, p, d, q)
 
         monkeypatch.setattr(ts, "fit", fit_failing_at_best)
-        ts._auto_fit_cached.cache_clear()
+        ts.auto_fit.cache_clear()
         try:
             chosen = ts.auto_fit(s)
             # the search goes on without the cell, to the best cell that remains
             assert (chosen.p, chosen.d, chosen.q) != (1, 0, 0)
             assert_stepwise_selection(values)
         finally:
-            ts._auto_fit_cached.cache_clear()
+            ts.auto_fit.cache_clear()
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == ["skipped ARIMA(1,0,0), which did not converge on a series of length 40"]
 
@@ -681,6 +681,7 @@ class TestFallback:
         first = ts.forecast_with_fallback(s, h)
         # an equal series, not the same object, finds the memoised forecast
         assert ts.forecast_with_fallback(ts.Series(tuple(values)), h) is first
+        assert ts.auto_fit(ts.Series(tuple(values))) is ts.auto_fit(s)
         assert first == ts.forecast(ts.auto_fit(s), s, h)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -691,7 +692,7 @@ class TestFallback:
     )
     def test_a_forecast_is_the_prefix_of_a_longer_one(self, values, h, extra):
         # the short-series fallback included; the memo is bypassed, so both are computed
-        forecast = ts._forecast_cached.__wrapped__
-        short, longer = forecast(tuple(values), h), forecast(tuple(values), h + extra)
+        forecast, s = ts.forecast_with_fallback.__wrapped__, ts.Series(tuple(values))
+        short, longer = forecast(s, h), forecast(s, h + extra)
         assert short.means == longer.means[:h]
         assert short.std_errs == longer.std_errs[:h]
