@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import evaluate, ingest
-from .datagen import PaConfig, delete_edges, pa_sequence, uniform_band_schedule
+from .datagen import PaConfig, pa_sequence, uniform_band_schedule
 from .predictor import PredictParams, predict, predict_distribution
 
 
@@ -85,8 +85,6 @@ _FLAGS: dict[str, dict] = {
     "base": dict(type=int, default=evaluate.SYNTH_SCHEDULE[0], help="vertex-target base"),
     "step": dict(type=int, default=evaluate.SYNTH_SCHEDULE[1], help="vertex-target step"),
     "width": dict(type=int, default=evaluate.SYNTH_SCHEDULE[2], help="vertex-target band"),
-    "delete-min": dict(type=int, default=evaluate.SYNTH_DELETE_RANGE[0], help="fewest deletions"),
-    "delete-max": dict(type=int, default=evaluate.SYNTH_DELETE_RANGE[1], help="most deletions"),
     "seed": dict(type=int, default=0, help="random seed"),
 }
 
@@ -152,8 +150,6 @@ def _cmd_synth(args) -> dict:
         seed=args.seed,
     )
     series = pa_sequence(cfg)
-    if args.experiment == 2:
-        series = delete_edges(series, args.delete_min, args.delete_max, args.seed + 1)
     ingest.dump_edgelist(series, args.out)
     print(f"wrote {len(series)} snapshots to {args.out}")
     return {}
@@ -230,7 +226,7 @@ _NOT_PARAMS = ("command", "config", "out", "seed")
 # name -> (handler, help line, flags in help order)
 _COMMANDS = {
     "synth": (_cmd_synth, "generate a synthetic edge-list file",
-              "out snapshots s s0 base step width experiment delete-min delete-max seed"),
+              "out snapshots s s0 base step width seed"),
     "predict": (_cmd_predict, "predict T+h from an edge-list file",
                 "input out granularity horizon train-window gamma u alpha k"),
     "eval-synth": (_cmd_eval_synth, "synthetic-protocol evaluation",

@@ -84,9 +84,6 @@ class Graph:
             raise KeyError(f"unknown vertex {v}")
         return self._adjacency()[v]
 
-    def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return edge(u, v) in self._edges
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

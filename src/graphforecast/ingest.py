@@ -157,13 +157,20 @@ def boundary_schedule(events: Sequence[EdgeEvent], granularity: str) -> list[int
 def dump_edgelist(series: GraphSeries, path: str | Path) -> None:
     """Write a series as ``u v t`` lines, t being each edge's first snapshot.
 
-    Round-trips through expanding windows with ticks:1 boundaries for growing
-    series (snapshots that only ever gain edges).
+    Round-trips through expanding windows with ticks:1 boundaries.  The lines
+    are cumulative, so only a growing series (snapshots that only ever gain
+    edges) can be written: a snapshot that loses an edge raises ValueError,
+    and nothing is written.
     """
     lines = []
     prev: frozenset = frozenset()
     for t in range(1, len(series) + 1):
         g = series.snapshot(t)
+        if not prev <= g.edges:
+            raise ValueError(
+                f"snapshot {t} deletes an edge of snapshot {t - 1}: "
+                "'u v t' lines can only add edges"
+            )
         for u, v in sorted(g.edges - prev):
             lines.append(f"{u} {v} {t}")
         prev = g.edges

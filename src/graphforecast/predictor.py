@@ -57,7 +57,11 @@ def predict(
     """Predict the snapshot at T + params.h from a training series of length T.
 
     The LPs are solved on ``model``; by default a new one, so a lone
-    prediction is a cold solve that depends on no earlier one.
+    prediction is a cold solve that depends on no earlier one.  When
+    ``model`` already searched this system at these floored bounds, the
+    prediction takes that search's selection, and ``nodes_explored``,
+    ``simplex_iterations`` and ``lp_iteration_limit_nodes`` describe that
+    one search.
     """
     if len(series) < 4:
         raise ValueError(f"prediction needs at least 4 snapshots, got {len(series)}")
@@ -112,9 +116,11 @@ def predict_distribution(
     cells of a gamma have the same candidate columns (so do the gammas that
     forecast the same vertex count), so each of their root LPs starts from
     the previous cell's last basis and only bounds change; a cell with other
-    columns rebuilds the model and solves cold.  Every cell still solves:
-    two cells with equal systems start from different bases and may end on
-    different edge sets of equal weight.
+    columns rebuilds the model and solves cold.  A cell whose system equals
+    an earlier one's at the same floored bounds is not solved again: the
+    model returns the stored search, so the cell gets that cell's edge set
+    and solver diagnostics.  With equal vertex-count forecasts across the
+    gammas, each u is searched once.
     """
     if not gammas or not us:
         raise ValueError("gammas and us must be non-empty")

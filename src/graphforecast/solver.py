@@ -22,7 +22,12 @@ node: its free columns are _free_columns' and its bound is _bound's.  A model
 handed a system with the same rows, columns and weights keeps its basis, so
 that system's root LP starts from the last optimum: predict_distribution
 shares one across its cells, and the u cells of a gamma differ only in their
-bounds.
+bounds.  The model also keeps each search it ran on the system it holds, by
+floored row bounds: handed that system at the same bounds again, solve_lp
+returns the stored root and solve_ilp the stored selection, with the
+diagnostics of the one search that found it, and neither HiGHS nor branch and
+bound runs.  Handing the model another system empties that memo.  The arrays
+of both solutions are read-only, since a stored one is handed out again.
 
 Because M is non-negative and the lower row bounds are zero, x = 0 is always
 feasible, so neither solver can fail on feasibility.
@@ -107,11 +112,40 @@ class LpModel:
     loaded changes only row and column bounds and starts from the basis the
     model holds: the last solve's, or one put back with restore.  A new model,
     or a system with other rows, columns or weights, is built and solved cold.
+    The searches solve_ilp ran on the loaded system are kept by their floored
+    row bounds (recall, remember) until the model is handed another system.
     """
 
     def __init__(self):
         self._highs = self._system = None
         self._rows = self._lower = self._upper = None  # the bounds HiGHS holds
+        self._searches: dict[bytes, tuple[LpSolution, IlpSolution]] = {}
+
+    def holds(self, cs: ConstraintSystem) -> bool:
+        """Whether the loaded system has ``cs``'s rows, columns and weights."""
+        loaded = self._system
+        return (
+            loaded is not None
+            and loaded.n_rows == cs.n_rows
+            and np.array_equal(loaded.endpoint_rows, cs.endpoint_rows)
+            and np.array_equal(loaded.objective, cs.objective)
+        )
+
+    def recall(
+        self, cs: ConstraintSystem, f: np.ndarray
+    ) -> tuple[LpSolution, IlpSolution] | None:
+        """The root and the selection of the search stored for ``cs`` at bounds ``f``.
+
+        Handed a system other than the loaded one, the model forgets its searches.
+        """
+        if not self.holds(cs):
+            self._searches = {}
+        return self._searches.get(f.tobytes())
+
+    def remember(self, cs: ConstraintSystem, root: LpSolution, ilp: IlpSolution) -> None:
+        """Store a search of ``cs``, if it is the loaded system, by its floored bounds."""
+        if self.holds(cs):
+            self._searches[root.bounds.tobytes()] = (root, ilp)
 
     def solve(
         self, cs: ConstraintSystem, f: np.ndarray, lower: np.ndarray, upper: np.ndarray
@@ -125,13 +159,7 @@ class LpModel:
         lower, upper = lower.astype(float), upper.astype(float)
         if (lower == upper).all():
             return lower, LpStatus.OPTIMAL, 0
-        loaded = self._system
-        if (
-            loaded is not None
-            and loaded.n_rows == cs.n_rows
-            and np.array_equal(loaded.endpoint_rows, cs.endpoint_rows)
-            and np.array_equal(loaded.objective, cs.objective)
-        ):
+        if self.holds(cs):
             for r in np.flatnonzero(f != self._rows):
                 self._highs.changeRowBounds(int(r), -kHighsInf, float(f[r]))
             changed = np.flatnonzero((lower != self._lower) | (upper != self._upper)).astype(np.int32)
@@ -147,6 +175,7 @@ class LpModel:
                 cs.n_cols, -cs.objective.astype(float), lower, upper, *cs.columns()
             )  # HiGHS minimises
             self._system = cs  # only its rows, columns and weights count
+            self._searches = {}
         self._rows, self._lower, self._upper = f, lower, upper
 
         self._highs.run()
@@ -170,6 +199,11 @@ class LpModel:
     def restore(self, basis) -> None:
         """Start the next solve from ``basis``, one this model returned."""
         self._highs.setBasis(basis)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _floored_bounds(cs: ConstraintSystem) -> np.ndarray:
@@ -239,18 +273,23 @@ def solve_lp(cs: ConstraintSystem, model: LpModel | None = None) -> LpSolution:
     the unreduced relaxation's) and holds at 0 the columns no binary
     selection can then take, so its objective bounds every binary selection.
     It solves on ``model`` (a new, cold one by default), whose basis the next
-    solve starts from.  When HiGHS stops at its iteration limit, the values
-    are the fixings and the objective is _bound's trivial one.
+    solve starts from; when ``model`` stored a search of this system at these
+    floored bounds, it returns that search's root unsolved.  When HiGHS stops
+    at its iteration limit, the values are the fixings and the objective is
+    _bound's trivial one.
     """
     cs.validate()
-    f = _floored_bounds(cs)
-    forced = _forced(cs, f)
-    free = _free_columns(cs, f, np.zeros_like(forced), forced)
+    f = _read_only(_floored_bounds(cs))
     model = LpModel() if model is None else model
+    stored = model.recall(cs, f)
+    if stored is not None:
+        return stored[0]
+    forced = _read_only(_forced(cs, f))
+    free = _free_columns(cs, f, np.zeros_like(forced), forced)
     x, status, iterations = model.solve(cs, f, forced, forced | free)
     objective = _bound(cs.objective.astype(float), x, status, forced, free)
     return LpSolution(
-        values=x, objective=objective, status=status, iterations=iterations,
+        values=_read_only(x), objective=objective, status=status, iterations=iterations,
         bounds=f, forced=forced,
     )
 
@@ -295,10 +334,15 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
     the columns fixed at 1 always fit the floored rows.  A system without
     columns is the root alone: 1 node, the empty selection.  Past NODE_CAP
     nodes the search stops and returns the incumbent (the empty selection if
-    it has none) with status "node_cap".
+    it has none) with status "node_cap".  A search ``model`` ran on this
+    system at these floored bounds is stored there and returned again, its
+    root still taken from solve_lp.
     """
     model = LpModel() if model is None else model
     root = solve_lp(cs, model)
+    stored = model.recall(cs, root.bounds)
+    if stored is not None:
+        return stored[1]
     C = cs.n_cols
     eA, eB = cs.endpoint_rows.T
     R = cs.n_rows
@@ -384,8 +428,8 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
         basis = model.basis()
         stack += [(fix0 | pick, fix1, basis), (fix0, fix1 | pick, basis)]  # x_j = 1 pops first
 
-    return IlpSolution(
-        values=inc_mask.astype(np.int64),
+    ilp = IlpSolution(
+        values=_read_only(inc_mask.astype(np.int64)),
         objective=selection_objective(c, inc_mask),
         nodes_explored=nodes,
         lp_objective=root.objective,
@@ -395,4 +439,6 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
         lp_iteration_limit_nodes=limited,
         bounds=f,
     )
+    model.remember(cs, root, ilp)
+    return ilp
 

@@ -14,7 +14,7 @@ from graphforecast.candidates import (
     homophily_candidates,
     predict_vertex_count,
 )
-from graphforecast.graphs import Graph, GraphSeries
+from graphforecast.graphs import Graph, GraphSeries, edge
 
 
 def growing_series(counts, edge_maker):
@@ -91,7 +91,7 @@ class TestHomophilyCandidates:
             CandidateEdge(u, v, Provenance.HOMOPHILY)
             for u in vs
             for v in vs
-            if u < v and not g.has_edge(u, v) and g.neighbors(u) & g.neighbors(v)
+            if u < v and edge(u, v) not in g.edges and g.neighbors(u) & g.neighbors(v)
         ]
         cands = homophily_candidates(g)
         assert list(cands) == expected
@@ -103,7 +103,7 @@ class TestHomophilyCandidates:
             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]
         )
         for c in homophily_candidates(g):
-            assert not g.has_edge(c.u, c.v)
+            assert edge(c.u, c.v) not in g.edges
             assert g.neighbors(c.u) & g.neighbors(c.v)
 
 

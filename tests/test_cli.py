@@ -39,17 +39,16 @@ class TestSynth:
         assert meta["seed"] == 13
         assert meta["rng_algorithm"] == "numpy-PCG64"
 
-    def test_deletion_variant(self, tmp_path):
+    def test_deletions_are_refused(self, tmp_path, capsys):
+        # an edge list is cumulative and cannot hold a deleted edge, so synth
+        # takes no deletion flags; eval-synth --experiment 2 deletes in memory
         path = tmp_path / "del.txt"
-        run(
-            [
-                "synth", "--out", str(path), "--snapshots", "6",
-                "--s", "2", "--s0", "8", "--base", "10", "--step", "2", "--width", "2",
-                "--experiment", "2", "--delete-min", "1", "--delete-max", "2",
-                "--seed", "4",
-            ]
-        )
-        assert parse_edgelist(path)
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(path), "--snapshots", "6", "--experiment", "2"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == ["graphforecast: error: unrecognized arguments: --experiment 2"]
+        assert not path.exists()
 
     def test_byte_identical_rerun(self, tmp_path):
         args = [
@@ -470,8 +469,7 @@ class TestSidecar:
         prediction = {"gamma": 0.5, "u": 0.8, "alpha": 0.001, "k": 10}
         synthetic = {"s": 10, "s0": 45, "base": 45, "step": 5, "width": 5}
         expected = {
-            "synth": {"snapshots": 20, **synthetic, "experiment": 1,
-                      "delete_min": 5, "delete_max": 10, "seed": 0},
+            "synth": {"snapshots": 20, **synthetic, "seed": 0},
             "predict": {"input": "IN", "granularity": "ticks:1", "horizon": 1,
                         "train_window": 0, **prediction},
             "eval-synth": {"experiment": 1, "runs": 10, "T": 15, "horizons": [1, 2, 3, 4, 5],

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from graphforecast import ingest
-from graphforecast.datagen import PaConfig, pa_sequence, uniform_band_schedule
+from graphforecast.datagen import PaConfig, delete_edges, pa_sequence, uniform_band_schedule
 from graphforecast.graphs import Graph, GraphSeries
 from graphforecast.ingest import (
     EdgeEvent,
@@ -186,6 +186,16 @@ class TestRoundTrip:
         dump_edgelist(series, path)
         events = parse_edgelist(path)
         assert expanding_windows(events, boundary_schedule(events, "ticks:1")) == series
+
+    def test_a_deleted_edge_is_refused(self, tmp_path):
+        # 'u v t' lines are cumulative: written anyway, the series would come
+        # back with every deleted edge still in it
+        cfg = PaConfig(s=3, s0=8, length=8, schedule=uniform_band_schedule(10, 2, 2), seed=4)
+        series = delete_edges(pa_sequence(cfg), 1, 2, 5)
+        path = tmp_path / "deleted.txt"
+        with pytest.raises(ValueError, match="^snapshot 2 deletes an edge of snapshot 1"):
+            dump_edgelist(series, path)
+        assert not path.exists()
 
     def test_dump_graph_is_ingestible(self, tmp_path):
         g = Graph.from_edges([(0, 1), (1, 2)])

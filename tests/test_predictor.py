@@ -223,6 +223,36 @@ class TestPredictDistribution:
             assert alone.graph == cell.graph
             assert alone.diagnostics == cell.diagnostics
 
+    def test_equal_systems_are_searched_once(self, monkeypatch):
+        # the three gammas forecast the same vertex count, so the grid holds two
+        # systems, one per u.  Each is searched once (cell (0.2, 0.8) branches)
+        # and the later cells of its u share the search
+        series = pa_sequence(
+            PaConfig(s=3, s0=3, length=5, schedule=uniform_band_schedule(0, 20, 1), seed=0)
+        )
+        roots, restored = [], [False]
+        solve, restore = solver.LpModel.solve, solver.LpModel.restore
+
+        def restoring(model, basis):
+            restored[0] = True
+            return restore(model, basis)
+
+        def counted(model, *args):
+            if not restored[0]:
+                roots.append(args)
+            restored[0] = False
+            return solve(model, *args)
+
+        monkeypatch.setattr(solver.LpModel, "restore", restoring)
+        monkeypatch.setattr(solver.LpModel, "solve", counted)
+        grid = predict_distribution(series, [0.2, 0.5, 0.8], [0.8, 0.95])
+        assert len({cell.diagnostics["n_hat"] for cell in grid}) == 1
+        assert grid[0].diagnostics["nodes_explored"] > 1
+        assert len(roots) == 2
+        for cell, first in zip(grid[2:], grid[:2] * 2):
+            assert cell.graph == first.graph
+            assert cell.diagnostics == first.diagnostics
+
     def test_empty_grid_rejected(self):
         series = small_pa_series(0).window(1, 7)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -482,3 +482,68 @@ class TestWarmStart:
                 shared = solve_ilp(grown, model)
                 assert shared.objective == solve_ilp(grown).objective
                 assert shared.lp_objective == pytest.approx(solve_lp(grown).objective, abs=1e-9)
+
+
+def same_system(a, b):
+    return (
+        a.n_rows == b.n_rows
+        and np.array_equal(a.endpoint_rows, b.endpoint_rows)
+        and np.array_equal(a.objective, b.objective)
+    )
+
+
+class TestSearchMemo:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.one_of(small_systems(), odd_cycle_systems()),
+        st.one_of(small_systems(), odd_cycle_systems()),
+    )
+    def test_the_memo_does_not_outlive_its_system(self, a, b):
+        assume(not same_system(a, b))
+        calls = []
+        solve = solver.LpModel.solve
+
+        def counted(model, *args):
+            calls.append(args)
+            return solve(model, *args)
+
+        model = solver.LpModel()
+        with mock.patch.object(solver.LpModel, "solve", counted):
+            first = solve_ilp(a, model)
+            other = solve_ilp(b, model)
+            del calls[:]
+            again = solve_ilp(a, model)
+            # loading b emptied the memo, so a is searched again
+            assert calls
+            del calls[:]
+            repeat = solve_ilp(a, model)
+            if model.holds(a):  # a search without free columns loads nothing
+                assert repeat is again and not calls
+        expected = exhaustive(a).objective
+        for ilp in (first, again, repeat):
+            assert ilp.objective == pytest.approx(expected, abs=1e-9)
+        assert other.objective == pytest.approx(exhaustive(b).objective, abs=1e-9)
+
+    def test_a_repeated_system_returns_the_stored_search(self):
+        cs = make_system([[0, 1], [0, 2], [1, 2]], [1, 1, 1, 3], [1.0, 0.9, 0.8])
+        model = solver.LpModel()
+        root, ilp = solve_lp(cs, model), solve_ilp(cs, model)
+        assert ilp.nodes_explored == 3
+        # an equal system built apart, at bounds that floor alike, shares the search
+        twin = make_system([[0, 1], [0, 2], [1, 2]], [1.0000001, 1, 1.5, 3], [1.0, 0.9, 0.8])
+        with mock.patch.object(solver.LpModel, "solve", side_effect=AssertionError):
+            shared_root, shared = solve_lp(twin, model), solve_ilp(twin, model)
+        assert shared is solve_ilp(cs, model)
+        assert shared_root.objective == root.objective
+        # other floored bounds are another search
+        looser = make_system([[0, 1], [0, 2], [1, 2]], [1, 1, 2, 3], [1.0, 0.9, 0.8])
+        assert solve_ilp(looser, model) is not shared
+
+    def test_shared_arrays_are_read_only(self):
+        cs = make_system([[0, 1], [0, 2], [1, 2]], [1, 1, 1, 3], [1.0, 0.9, 0.8])
+        model = solver.LpModel()
+        solve_ilp(cs, model)
+        lp, ilp = solve_lp(cs, model), solve_ilp(cs, model)
+        for array in (lp.values, lp.bounds, lp.forced, ilp.values, ilp.bounds):
+            with pytest.raises(ValueError):
+                array[0] = 1
