@@ -14,8 +14,8 @@ flags; eval-real alone overrides a default (--granularity daily).
 
 Flags may also be supplied through an optional key=value config file
 (``--config``); explicit flags win over config values.  A key must name a
-flag of some command; one file may serve several commands, so each command
-skips the keys it does not take.
+flag of some command other than the required --input and --out; one file may
+serve several commands, so each command skips the keys it does not take.
 """
 
 from __future__ import annotations
@@ -102,6 +102,9 @@ def _load_config(path: str) -> dict:
         spec = _FLAGS.get(key.replace("_", "-"))
         if spec is None:
             raise ValueError(f"config key {key!r} is not a flag of any command")
+        if spec.get("required"):
+            # argparse checks required flags on the command line alone
+            raise ValueError(f"config key {key!r}: give --{key} on the command line")
         try:
             value = spec.get("type", str)(val)
             if "choices" in spec and value not in spec["choices"]:

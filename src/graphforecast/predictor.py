@@ -75,12 +75,13 @@ def predict(
             params.gamma, params.u, params.h, ilp.nodes_explored,
         )
     edges = [H.candidates[j].pair for j in np.flatnonzero(ilp.values)]
+    root = ilp.root  # the B&B root relaxation, solve_lp's
     return PredictedGraph(
         graph=Graph(H.vertex_order, edges),
         params=params,
         horizon_origin=len(series),
         diagnostics={
-            "lp_objective": ilp.lp_objective,  # the B&B root relaxation, solve_lp's
+            "lp_objective": root.objective,
             "ilp_objective": ilp.objective,
             "candidate_count": cs.n_cols,
             "candidates_by_provenance": {
@@ -89,11 +90,11 @@ def predict(
             "n_hat": H.n_hat,
             "nodes_explored": ilp.nodes_explored,
             "ilp_status": ilp.status,
-            "forced_columns": ilp.forced_columns,
+            "forced_columns": int(root.forced.sum()),
             "simplex_iterations": ilp.simplex_iterations,
             "lp_iteration_limit_nodes": ilp.lp_iteration_limit_nodes,
-            "degree_bound_total": float(ilp.bounds[:-1].sum()) / 2,
-            "edge_bound": float(ilp.bounds[-1]),
+            "degree_bound_total": float(root.bounds[:-1].sum()) / 2,
+            "edge_bound": float(root.bounds[-1]),
         },
     )
 

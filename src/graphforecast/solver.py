@@ -18,16 +18,17 @@ the _forced fixings; solve_ilp runs depth-first branch and bound from them on
 the same model, its root node is solve_lp's solution, so a prediction solves
 the root LP once, and every further node changes only column bounds and
 restarts from its parent's basis.  The root takes the path of every other
-node: its free columns are _free_columns' and its bound is _bound's.  A model
-handed a system with the same rows, columns and weights keeps its basis, so
-that system's root LP starts from the last optimum: predict_distribution
-shares one across its cells, and the u cells of a gamma differ only in their
-bounds.  The model also keeps each search it ran on the system it holds, by
-floored row bounds: handed that system at the same bounds again, solve_lp
-returns the stored root and solve_ilp the stored selection, with the
-diagnostics of the one search that found it, and neither HiGHS nor branch and
-bound runs.  Handing the model another system empties that memo.  The arrays
-of both solutions are read-only, since a stored one is handed out again.
+node: its free columns are _free_columns' and its bound is _bound's.  solve_lp
+loads each system into the model once per prediction; a system with the same
+rows, columns and weights as the loaded one keeps its basis, so its root LP
+starts from the last optimum: predict_distribution shares one model across
+its cells, and the u cells of a gamma differ only in their bounds.  The model
+also keeps each search it ran on the loaded system, by floored row bounds:
+loaded at the same bounds again, solve_lp returns the stored search's root and
+solve_ilp the stored search, with the diagnostics of the one search that
+found it, and neither HiGHS nor branch and bound runs.  Loading another
+system empties that memo.  The arrays of both solutions are read-only, since
+a stored one is handed out again.
 
 Because M is non-negative and the lower row bounds are zero, x = 0 is always
 feasible, so neither solver can fail on feasibility.
@@ -80,12 +81,10 @@ class IlpSolution:
     values: np.ndarray  # 0/1 ints per candidate column
     objective: float
     nodes_explored: int
-    lp_objective: float  # the LP relaxation's optimum, an upper bound on objective
     status: str  # "optimal", or "node_cap": the best selection found within NODE_CAP nodes
-    forced_columns: int  # columns fixed at 1 before the root LP (_forced)
     simplex_iterations: int  # summed over the root and every node LP
     lp_iteration_limit_nodes: int  # nodes whose LP stopped at HiGHS's iteration limit
-    bounds: np.ndarray  # the floored row bounds of every node (_floored_bounds)
+    root: LpSolution  # solve_lp's root relaxation: its objective bounds objective
 
 
 def selection_objective(c: np.ndarray, mask: np.ndarray) -> float:
@@ -108,47 +107,36 @@ _HIGHS_OPTIONS = {"output_flag": False, "presolve": "on", "solver": "simplex", "
 class LpModel:
     """One HiGHS model of a system's LP relaxation, re-solved as its bounds change.
 
-    The model holds every column of the system.  A solve on the system already
-    loaded changes only row and column bounds and starts from the basis the
-    model holds: the last solve's, or one put back with restore.  A new model,
-    or a system with other rows, columns or weights, is built and solved cold.
-    The searches solve_ilp ran on the loaded system are kept by their floored
-    row bounds (recall, remember) until the model is handed another system.
+    load sets the system, and the model holds every column of it.  A solve
+    changes only row and column bounds and starts from the basis the model
+    holds: the last solve's, or one put back with restore.  The first solve
+    after loading a system with other rows, columns or weights builds HiGHS's
+    model and solves cold.  ``searches`` maps the floored row bounds of each
+    solve_ilp search on the loaded system to its IlpSolution.
     """
 
     def __init__(self):
         self._highs = self._system = None
         self._rows = self._lower = self._upper = None  # the bounds HiGHS holds
-        self._searches: dict[bytes, tuple[LpSolution, IlpSolution]] = {}
+        self.searches: dict[bytes, IlpSolution] = {}
 
-    def holds(self, cs: ConstraintSystem) -> bool:
-        """Whether the loaded system has ``cs``'s rows, columns and weights."""
+    def load(self, cs: ConstraintSystem) -> None:
+        """Solve ``cs`` from now on.
+
+        A system with other rows, columns or weights than the loaded one drops
+        HiGHS's model, so the next solve builds it cold, and empties searches.
+        """
         loaded = self._system
-        return (
+        if not (
             loaded is not None
             and loaded.n_rows == cs.n_rows
             and np.array_equal(loaded.endpoint_rows, cs.endpoint_rows)
             and np.array_equal(loaded.objective, cs.objective)
-        )
-
-    def recall(
-        self, cs: ConstraintSystem, f: np.ndarray
-    ) -> tuple[LpSolution, IlpSolution] | None:
-        """The root and the selection of the search stored for ``cs`` at bounds ``f``.
-
-        Handed a system other than the loaded one, the model forgets its searches.
-        """
-        if not self.holds(cs):
-            self._searches = {}
-        return self._searches.get(f.tobytes())
-
-    def remember(self, cs: ConstraintSystem, root: LpSolution, ilp: IlpSolution) -> None:
-        """Store a search of ``cs``, if it is the loaded system, by its floored bounds."""
-        if self.holds(cs):
-            self._searches[root.bounds.tobytes()] = (root, ilp)
+        ):
+            self._highs, self._system, self.searches = None, cs, {}
 
     def solve(
-        self, cs: ConstraintSystem, f: np.ndarray, lower: np.ndarray, upper: np.ndarray
+        self, f: np.ndarray, lower: np.ndarray, upper: np.ndarray
     ) -> tuple[np.ndarray, LpStatus, int]:
         """Maximise c.x over Mx <= f and lower <= x <= upper (0/1 masks).
 
@@ -159,13 +147,14 @@ class LpModel:
         lower, upper = lower.astype(float), upper.astype(float)
         if (lower == upper).all():
             return lower, LpStatus.OPTIMAL, 0
-        if self.holds(cs):
+        if self._highs is not None:
             for r in np.flatnonzero(f != self._rows):
                 self._highs.changeRowBounds(int(r), -kHighsInf, float(f[r]))
             changed = np.flatnonzero((lower != self._lower) | (upper != self._upper)).astype(np.int32)
             if changed.size:
                 self._highs.changeColsBounds(changed.size, changed, lower[changed], upper[changed])
         else:
+            cs = self._system
             self._highs = _Highs()
             for name, value in _HIGHS_OPTIONS.items():
                 self._highs.setOptionValue(name, value)
@@ -174,8 +163,6 @@ class LpModel:
             self._highs.addCols(
                 cs.n_cols, -cs.objective.astype(float), lower, upper, *cs.columns()
             )  # HiGHS minimises
-            self._system = cs  # only its rows, columns and weights count
-            self._searches = {}
         self._rows, self._lower, self._upper = f, lower, upper
 
         self._highs.run()
@@ -272,21 +259,22 @@ def solve_lp(cs: ConstraintSystem, model: LpModel | None = None) -> LpSolution:
     _forced columns at 1 (every LP optimum has them at 1, so the optimum is
     the unreduced relaxation's) and holds at 0 the columns no binary
     selection can then take, so its objective bounds every binary selection.
-    It solves on ``model`` (a new, cold one by default), whose basis the next
-    solve starts from; when ``model`` stored a search of this system at these
-    floored bounds, it returns that search's root unsolved.  When HiGHS stops
-    at its iteration limit, the values are the fixings and the objective is
-    _bound's trivial one.
+    It loads ``cs`` into ``model`` (a new, cold one by default) and solves
+    there, leaving the basis the next solve starts from; when ``model`` stored
+    a search of this system at these floored bounds, it returns that search's
+    root unsolved.  When HiGHS stops at its iteration limit, the values are
+    the fixings and the objective is _bound's trivial one.
     """
     cs.validate()
     f = _read_only(_floored_bounds(cs))
     model = LpModel() if model is None else model
-    stored = model.recall(cs, f)
+    model.load(cs)
+    stored = model.searches.get(f.tobytes())
     if stored is not None:
-        return stored[0]
+        return stored.root
     forced = _read_only(_forced(cs, f))
     free = _free_columns(cs, f, np.zeros_like(forced), forced)
-    x, status, iterations = model.solve(cs, f, forced, forced | free)
+    x, status, iterations = model.solve(f, forced, forced | free)
     objective = _bound(cs.objective.astype(float), x, status, forced, free)
     return LpSolution(
         values=_read_only(x), objective=objective, status=status, iterations=iterations,
@@ -334,15 +322,16 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
     the columns fixed at 1 always fit the floored rows.  A system without
     columns is the root alone: 1 node, the empty selection.  Past NODE_CAP
     nodes the search stops and returns the incumbent (the empty selection if
-    it has none) with status "node_cap".  A search ``model`` ran on this
-    system at these floored bounds is stored there and returned again, its
-    root still taken from solve_lp.
+    it has none) with status "node_cap".  The search is stored in ``model``
+    by its floored bounds; a later solve_ilp of this system at these floored
+    bounds takes its root from solve_lp, which loads the system, and returns
+    the stored search, even one whose root had no free column.
     """
     model = LpModel() if model is None else model
     root = solve_lp(cs, model)
-    stored = model.recall(cs, root.bounds)
-    if stored is not None:
-        return stored[1]
+    key = root.bounds.tobytes()
+    if key in model.searches:
+        return model.searches[key]
     C = cs.n_cols
     eA, eB = cs.endpoint_rows.T
     R = cs.n_rows
@@ -391,7 +380,7 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
             x, lp_status = root.values, root.status
         else:
             model.restore(basis)
-            x, lp_status, node_iterations = model.solve(cs, f, fix1, fix1 | free)
+            x, lp_status, node_iterations = model.solve(f, fix1, fix1 | free)
             iterations += node_iterations
         if lp_status is LpStatus.ITERATION_LIMIT:
             limited += 1
@@ -432,13 +421,11 @@ def solve_ilp(cs: ConstraintSystem, model: LpModel | None = None) -> IlpSolution
         values=_read_only(inc_mask.astype(np.int64)),
         objective=selection_objective(c, inc_mask),
         nodes_explored=nodes,
-        lp_objective=root.objective,
         status=status,
-        forced_columns=int(forced.sum()),
         simplex_iterations=iterations,
         lp_iteration_limit_nodes=limited,
-        bounds=f,
+        root=root,
     )
-    model.remember(cs, root, ilp)
+    model.searches[key] = ilp
     return ilp
 

@@ -83,10 +83,6 @@ class Series:
     def __len__(self) -> int:
         return len(self.values)
 
-    @staticmethod
-    def from_values(values) -> "Series":
-        return Series(tuple(float(v) for v in values))
-
 
 @dataclass(frozen=True)
 class ArimaFit:
@@ -548,6 +544,8 @@ def forecast_with_fallback(series: Series, h: int) -> Forecast:
     memoised by (series, h): a sweep's cells, and vertices with equal degree
     histories, forecast each distinct series once.
     """
+    if h < 1:
+        raise ValueError("forecast horizon must be >= 1")
     if len(series) >= 4:
         return forecast(auto_fit(series), series, h)
     vals = np.asarray(series.values, dtype=float)

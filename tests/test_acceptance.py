@@ -102,14 +102,14 @@ def test_criterion_4_arima_recovery():
     y = np.zeros(500 + burn)
     for t in range(1, 500 + burn):
         y[t] = 0.6 * y[t - 1] + noise[t]
-    fit = ts.fit(ts.Series.from_values(y[burn:]), 1, 0, 0)
+    fit = ts.fit(ts.Series(tuple(map(float, y[burn:]))), 1, 0, 0)
     assert abs(fit.ar_coeffs[0] - 0.6) <= 0.10
 
-    const = ts.Series.from_values([7.0] * 20)
+    const = ts.Series(tuple(map(float, [7.0] * 20)))
     fc = ts.forecast(ts.auto_fit(const), const, 5)
     assert fc.means == (7.0,) * 5
 
-    ramp = ts.Series.from_values(range(1, 21))
+    ramp = ts.Series(tuple(map(float, range(1, 21))))
     fc = ts.forecast(ts.auto_fit(ramp), ramp, 1)
     assert abs(fc.means[0] - 21.0) <= 0.5
     report(4, "AR(1) phi recovered, constant exact, ramp within 0.5")

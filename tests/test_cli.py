@@ -219,7 +219,7 @@ class TestNodeCap:
                 meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
                 assert meta["params"]["node_cap_predictions"] == len(warnings)
         assert counts == [0, 1]
-        gaps = [s.lp_objective - s.objective for s in uncapped if s.nodes_explored > 1]
+        gaps = [s.root.objective - s.objective for s in uncapped if s.nodes_explored > 1]
         assert len(gaps) == 1 and gaps[0] >= PredictParams().alpha
 
 
@@ -405,8 +405,10 @@ class TestBadInput:
             ("experiment=3\n", ["synth", "--out", "OUT", "--snapshots", "5", "--s", "2",
                                 "--s0", "5", "--base", "8", "--step", "2", "--width", "2"],
              "config experiment='3': not one of (1, 2)"),
+            ("input=IN\nout=OUT\n", ["predict"],
+             "config key 'input': give --input on the command line"),
         ],
-        ids=["unknown-key", "bad-value", "empty-list", "bad-choice"],
+        ids=["unknown-key", "bad-value", "empty-list", "bad-choice", "required-flag"],
     )
     def test_bad_config_is_a_one_line_error(
         self, small_edgelist, tmp_path, capsys, config, argv, message

@@ -82,7 +82,7 @@ class TestForced:
             [1.0, 1.0, 1.0, 1.0, 1e-3],
         )
         assert solver._forced(cs, floored(cs)).tolist() == [True, True, False, False, False]
-        assert solve_ilp(cs).forced_columns == 2
+        assert solve_ilp(cs).root.forced.sum() == 2
 
     # each system has an optimum without some weight-1 column, so forcing it would be wrong
     @pytest.mark.parametrize(
@@ -101,7 +101,7 @@ class TestForced:
         cs = make_system(endpoints, bounds, coeffs)
         assert not solver._forced(cs, floored(cs)).any()
         assert not exhaustive(cs).selections.all(axis=1).all()
-        assert solve_ilp(cs).forced_columns == 0
+        assert not solve_ilp(cs).root.forced.any()
 
 
 class TestSolveIlp:
@@ -136,7 +136,7 @@ class TestSolveIlp:
                 solver, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
             )
         sol = solve_ilp(cs)
-        assert sol.nodes_explored > 1 and sol.forced_columns == forced.sum() > 0
+        assert sol.nodes_explored > 1 and sol.root.forced.sum() == forced.sum() > 0
         assert calls == ["_floored_bounds", "_forced"]
         root = solve_lp(cs)
         assert np.array_equal(root.bounds, floored(cs))
@@ -148,12 +148,12 @@ class TestSolveIlp:
         assert sol.objective == 0.0
         assert len(sol.values) == 0
         assert sol.nodes_explored == 1  # the root, like any other system's
-        assert sol.forced_columns == 0
+        assert not sol.root.forced.any()
 
     def test_empty_system_has_zero_lp_objective(self):
         cs = make_system(np.zeros((0, 2)), [1.0, 1.0, 5.0], [])
         sol = solve_ilp(cs)
-        assert sol.lp_objective == 0.0
+        assert sol.root.objective == 0.0
         assert sol.status == "optimal"
 
     def test_node_cap_returns_a_feasible_incumbent(self, monkeypatch):
@@ -167,7 +167,7 @@ class TestSolveIlp:
         assert set(sol.values.tolist()) <= {0, 1}
         assert (incidence(cs) @ sol.values <= cs.upper_bounds).all()
         assert sol.objective == float(cs.objective @ sol.values)
-        assert sol.objective <= sol.lp_objective
+        assert sol.objective <= sol.root.objective
 
     def test_matches_brute_force_on_random_systems(self):
         rng = np.random.default_rng(1234)
@@ -265,7 +265,7 @@ class TestIterationLimit:
         monkeypatch.setattr(solver.LpModel, "solve", recorded)
         ilp = solve_ilp(limited)
         assert ilp.objective == best == 1.001
-        assert ilp.lp_objective >= ilp.objective
+        assert ilp.root.objective >= ilp.objective
         assert ilp.nodes_explored > 1
         assert ilp.lp_iteration_limit_nodes == statuses.count(LpStatus.ITERATION_LIMIT) > 0
 
@@ -354,7 +354,7 @@ def check_ilp_matches_exhaustive(cs):
 def check_optima_hold_the_forced_columns(cs):
     forced = solver._forced(cs, floored(cs))
     assert exhaustive(cs).selections[:, forced].all()
-    assert solve_ilp(cs).forced_columns == forced.sum()
+    assert solve_ilp(cs).root.forced.sum() == forced.sum()
 
 
 class TestSolverProperties:
@@ -420,9 +420,9 @@ class TestSolverProperties:
         calls = []
         solve = solver.LpModel.solve
 
-        def recording(model, cs_, f, lower, upper):
+        def recording(model, f, lower, upper):
             calls.append((f, lower))
-            return solve(model, cs_, f, lower, upper)
+            return solve(model, f, lower, upper)
 
         with mock.patch.object(solver.LpModel, "solve", recording):
             solve_ilp(cs)
@@ -435,8 +435,8 @@ class TestSolverProperties:
     @given(small_systems())
     def test_ilp_root_is_solve_lp(self, cs):
         ilp = solve_ilp(cs)
-        assert ilp.lp_objective == solve_lp(cs).objective
-        assert ilp.lp_objective >= ilp.objective - 1e-9
+        assert ilp.root.objective == solve_lp(cs).objective
+        assert ilp.root.objective >= ilp.objective - 1e-9
 
 
 @st.composite
@@ -457,9 +457,11 @@ class TestWarmStart:
         cs, rows, lower, upper = drawn
         c = cs.objective
         model = solver.LpModel()
-        solve_lp(cs, model)  # leaves the root's basis in the model
-        warm, warm_status, _ = model.solve(cs, rows, lower, upper)
-        cold, cold_status, _ = solver.LpModel().solve(cs, rows, lower, upper)
+        solve_lp(cs, model)  # loads cs and leaves the root's basis in the model
+        warm, warm_status, _ = model.solve(rows, lower, upper)
+        fresh = solver.LpModel()
+        fresh.load(cs)
+        cold, cold_status, _ = fresh.solve(rows, lower, upper)
         assert warm_status is cold_status is LpStatus.OPTIMAL
         assert c @ warm == pytest.approx(c @ cold, abs=1e-9)
         assert (incidence(cs) @ warm <= rows + 1e-6).all()
@@ -481,7 +483,7 @@ class TestWarmStart:
                 )
                 shared = solve_ilp(grown, model)
                 assert shared.objective == solve_ilp(grown).objective
-                assert shared.lp_objective == pytest.approx(solve_lp(grown).objective, abs=1e-9)
+                assert shared.root.objective == pytest.approx(solve_lp(grown).objective, abs=1e-9)
 
 
 def same_system(a, b):
@@ -517,12 +519,22 @@ class TestSearchMemo:
             assert calls
             del calls[:]
             repeat = solve_ilp(a, model)
-            if model.holds(a):  # a search without free columns loads nothing
-                assert repeat is again and not calls
+            assert repeat is again and not calls
         expected = exhaustive(a).objective
         for ilp in (first, again, repeat):
             assert ilp.objective == pytest.approx(expected, abs=1e-9)
         assert other.objective == pytest.approx(exhaustive(b).objective, abs=1e-9)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.one_of(small_systems(), odd_cycle_systems()))
+    def test_a_second_search_is_the_stored_one(self, cs):
+        # about 4 in 10 draws have no free column at the root, and are stored too
+        model = solver.LpModel()
+        first = solve_ilp(cs, model)
+        with mock.patch.object(solver.LpModel, "solve", side_effect=AssertionError):
+            again = solve_ilp(cs, model)
+        assert again is first
+        assert again.root is solve_lp(cs, model)
 
     def test_a_repeated_system_returns_the_stored_search(self):
         cs = make_system([[0, 1], [0, 2], [1, 2]], [1, 1, 1, 3], [1.0, 0.9, 0.8])
@@ -544,6 +556,7 @@ class TestSearchMemo:
         model = solver.LpModel()
         solve_ilp(cs, model)
         lp, ilp = solve_lp(cs, model), solve_ilp(cs, model)
-        for array in (lp.values, lp.bounds, lp.forced, ilp.values, ilp.bounds):
+        assert ilp.root is lp
+        for array in (lp.values, lp.bounds, lp.forced, ilp.values):
             with pytest.raises(ValueError):
                 array[0] = 1

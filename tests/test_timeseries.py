@@ -194,7 +194,7 @@ def short_count_cells(draw):
     p = draw(st.integers(0, 3))
     n = draw(st.integers(max(6, p + q + d + 3), 15))
     values = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
-    return ts.Series.from_values(values), p, d, q
+    return ts.Series(tuple(map(float, values))), p, d, q
 
 
 @st.composite
@@ -217,7 +217,7 @@ def forecast_problems(draw):
         aicc=0.0,
         n_obs=n,
     )
-    return fit, ts.Series.from_values(values), draw(st.integers(1, 5))
+    return fit, ts.Series(tuple(map(float, values))), draw(st.integers(1, 5))
 
 
 class TestCssKernel:
@@ -299,24 +299,24 @@ class TestSeries:
 
 class TestDifference:
     def test_first_difference_of_ramp(self):
-        s = ts.Series.from_values([1, 2, 3, 4])
+        s = ts.Series(tuple(map(float, [1, 2, 3, 4])))
         assert ts.difference(s, 1).values == (1.0, 1.0, 1.0)
 
     def test_identity(self):
-        s = ts.Series.from_values([5, 5, 5])
+        s = ts.Series(tuple(map(float, [5, 5, 5])))
         assert ts.difference(s, 0).values == (5.0, 5.0, 5.0)
 
     def test_second_difference_of_squares(self):
-        s = ts.Series.from_values([1, 4, 9, 16])
+        s = ts.Series(tuple(map(float, [1, 4, 9, 16])))
         assert ts.difference(s, 2).values == (2.0, 2.0)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            ts.difference(ts.Series.from_values([1, 2]), 2)
+            ts.difference(ts.Series(tuple(map(float, [1, 2]))), 2)
 
     def test_iterated_equals_direct(self):
         rng = np.random.default_rng(3)
-        s = ts.Series.from_values(rng.normal(size=12))
+        s = ts.Series(tuple(map(float, rng.normal(size=12))))
         twice = ts.difference(ts.difference(s, 1), 1)
         direct = ts.difference(s, 2)
         assert twice.values == pytest.approx(direct.values)
@@ -326,25 +326,25 @@ class TestFit:
     def test_white_noise_mean_model(self):
         rng = np.random.default_rng(11)
         y = rng.standard_normal(500)
-        fit = ts.fit(ts.Series.from_values(y), 0, 0, 0)
+        fit = ts.fit(ts.Series(tuple(map(float, y))), 0, 0, 0)
         assert fit.intercept == pytest.approx(float(np.mean(y)), abs=1e-12)
         assert fit.sigma2 == pytest.approx(float(np.var(y)), abs=1e-12)
 
     def test_ar1_recovery_vs_yule_walker(self):
         y = ar1_series(0.6, 500, seed=42)
-        fit = ts.fit(ts.Series.from_values(y), 1, 0, 0)
+        fit = ts.fit(ts.Series(tuple(map(float, y))), 1, 0, 0)
         assert abs(fit.ar_coeffs[0] - 0.6) <= 0.1
         yc = y - y.mean()
         phi_yw = float(np.dot(yc[1:], yc[:-1]) / np.dot(yc, yc))
         assert fit.ar_coeffs[0] == pytest.approx(phi_yw, abs=0.03)
 
     def test_unit_drift(self):
-        fit = ts.fit(ts.Series.from_values(range(1, 31)), 0, 1, 0)
+        fit = ts.fit(ts.Series(tuple(map(float, range(1, 31)))), 0, 1, 0)
         assert fit.intercept == pytest.approx(1.0, abs=1e-9)
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError):
-            ts.fit(ts.Series.from_values([1, 2, 3]), 2, 1, 2)
+            ts.fit(ts.Series(tuple(map(float, [1, 2, 3]))), 2, 1, 2)
 
 
 class TestFitRegion:
@@ -364,7 +364,7 @@ class TestFitRegion:
         # ARIMA(3,0,4) on a degree series of the predict-pa benchmark input
         # (seed 1, round 0), a cell on which derivative-free coordinate
         # descent runs out of sweeps without converging
-        series = ts.Series.from_values([3, 4, 4, 5, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7])
+        series = ts.Series(tuple(map(float, [3, 4, 4, 5, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7])))
         fit = ts.fit(series, 3, 0, 4)
         assert sum(abs(v) for v in fit.ar_coeffs) <= 0.99
         assert sum(abs(v) for v in fit.ma_coeffs) <= 0.99
@@ -396,7 +396,7 @@ def assert_stepwise_selection(values):
     a neighbour (p +- 1, q +- 1) is fitted directly and counts when its AICc
     is defined and its fit converges.
     """
-    s = ts.Series.from_values(values)
+    s = ts.Series(tuple(map(float, values)))
     n = len(s)
     chosen = ts.auto_fit(s)
     if len(set(s.values)) == 1:
@@ -450,13 +450,13 @@ class TestKpss:
 
 class TestAutoFit:
     def test_constant_series(self):
-        s = ts.Series.from_values([7.0] * 20)
+        s = ts.Series(tuple(map(float, [7.0] * 20)))
         fit = ts.auto_fit(s)
         fc = ts.forecast(fit, s, 4)
         assert fc.means == (7.0, 7.0, 7.0, 7.0)
 
     def test_linear_ramp_forecast(self):
-        s = ts.Series.from_values(range(1, 21))
+        s = ts.Series(tuple(map(float, range(1, 21))))
         fit = ts.auto_fit(s)
         fc = ts.forecast(fit, s, 1)
         assert fc.means[0] == pytest.approx(21.0, abs=0.5)
@@ -485,13 +485,13 @@ class TestAutoFit:
         # falls back to d = 0 and a 5-point series stops at d = 1
         w = np.asarray(values, dtype=float)
         assert ts._kpss(w) > ts._KPSS_CRITICAL
-        fit = ts.auto_fit(ts.Series.from_values(values))
+        fit = ts.auto_fit(ts.Series(tuple(map(float, values))))
         assert (fit.p, fit.d, fit.q) == order
         assert_stepwise_selection(values)
 
     def test_white_noise_stays_parsimonious(self):
         rng = np.random.default_rng(5)
-        s = ts.Series.from_values(rng.standard_normal(200))
+        s = ts.Series(tuple(map(float, rng.standard_normal(200))))
         fit = ts.auto_fit(s)
         assert fit.p + fit.q <= 1
 
@@ -506,11 +506,11 @@ class TestAutoFit:
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            ts.auto_fit(ts.Series.from_values([1, 2, 3]))
+            ts.auto_fit(ts.Series(tuple(map(float, [1, 2, 3]))))
 
     def test_skipped_cell_is_reported(self, monkeypatch, caplog):
         values = ar1_series(0.7, 40, 0)
-        s = ts.Series.from_values(values)
+        s = ts.Series(tuple(map(float, values)))
         ts.auto_fit.cache_clear()
         best = ts.auto_fit(s)
         assert (best.p, best.d, best.q) == (1, 0, 0)
@@ -536,13 +536,13 @@ class TestAutoFit:
 
 class TestForecast:
     def test_constant_series_zero_spread(self):
-        s = ts.Series.from_values([7.0] * 20)
+        s = ts.Series(tuple(map(float, [7.0] * 20)))
         fc = ts.forecast(ts.auto_fit(s), s, 3)
         assert fc.means == (7.0, 7.0, 7.0)
         assert fc.std_errs == (0.0, 0.0, 0.0)
 
     def test_drift_continuation(self):
-        s = ts.Series.from_values(range(1, 21))
+        s = ts.Series(tuple(map(float, range(1, 21))))
         fc = ts.forecast(ts.fit(s, 0, 1, 0), s, 2)
         assert fc.means == pytest.approx([21.0, 22.0], abs=1e-9)
 
@@ -551,7 +551,7 @@ class TestForecast:
             p=1, d=0, q=0, ar_coeffs=(0.6,), ma_coeffs=(), intercept=0.0,
             sigma2=1.0, aicc=0.0, n_obs=20,
         )
-        s = ts.Series.from_values([0.0] * 19 + [10.0])
+        s = ts.Series(tuple(map(float, [0.0] * 19 + [10.0])))
         fc = ts.forecast(fit, s, 2)
         assert fc.means == pytest.approx([6.0, 3.6], abs=1e-12)
 
@@ -560,19 +560,19 @@ class TestForecast:
             p=0, d=1, q=0, ar_coeffs=(), ma_coeffs=(), intercept=0.0,
             sigma2=4.0, aicc=0.0, n_obs=20,
         )
-        s = ts.Series.from_values(range(20))
+        s = ts.Series(tuple(map(float, range(20))))
         fc = ts.forecast(fit, s, 4)
         assert fc.std_errs == pytest.approx([2.0 * math.sqrt(h) for h in (1, 2, 3, 4)])
 
     def test_mean_model_constant_at_intercept(self):
         rng = np.random.default_rng(2)
-        s = ts.Series.from_values(rng.standard_normal(50) + 3)
+        s = ts.Series(tuple(map(float, rng.standard_normal(50) + 3)))
         fit = ts.fit(s, 0, 0, 0)
         fc = ts.forecast(fit, s, 6)
         assert all(m == pytest.approx(fit.intercept) for m in fc.means)
 
     def test_double_integration_continues_squares(self):
-        s = ts.Series.from_values([k * k for k in range(1, 9)])
+        s = ts.Series(tuple(map(float, [k * k for k in range(1, 9)])))
         fit = ts.fit(s, 0, 2, 0)
         fc = ts.forecast(fit, s, 3)
         assert fc.means == pytest.approx([81.0, 100.0, 121.0], abs=1e-9)
@@ -657,17 +657,25 @@ class TestQuantile:
 
 class TestFallback:
     def test_short_series_carries_last_value(self):
-        fc = ts.forecast_with_fallback(ts.Series.from_values([3, 5, 8]), 4)
+        fc = ts.forecast_with_fallback(ts.Series(tuple(map(float, [3, 5, 8]))), 4)
         assert fc.means == (8.0, 8.0, 8.0, 8.0)
         assert fc.std_errs[0] == pytest.approx(float(np.std([3, 5, 8], ddof=1)))
 
     def test_single_point(self):
-        fc = ts.forecast_with_fallback(ts.Series.from_values([4]), 2)
+        fc = ts.forecast_with_fallback(ts.Series(tuple(map(float, [4]))), 2)
         assert fc.means == (4.0, 4.0)
         assert fc.std_errs == (0.0, 0.0)
 
+    # a short series takes the fallback, a long one auto_fit: both refuse the horizon
+    @pytest.mark.parametrize("values", [[3, 5, 8], range(1, 21)], ids=["short", "long"])
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_a_horizon_below_1_is_refused(self, values, h):
+        s = ts.Series(tuple(map(float, values)))
+        with pytest.raises(ValueError, match="forecast horizon must be >= 1"):
+            ts.forecast_with_fallback(s, h)
+
     def test_long_series_uses_model(self):
-        s = ts.Series.from_values(range(1, 21))
+        s = ts.Series(tuple(map(float, range(1, 21))))
         fc = ts.forecast_with_fallback(s, 1)
         assert fc.means[0] == pytest.approx(21.0, abs=0.5)
 
