@@ -254,6 +254,10 @@ def main(argv: list[str] | None = None) -> int:
             for sp in subparsers.values():
                 sp.set_defaults(**{a.dest: config[a.dest] for a in sp._actions if a.dest in config})
         args = parser.parse_args(argv)
+        # refused before the command runs, which on a paper-scale sweep takes minutes
+        out_dir = Path(args.out).parent
+        if not out_dir.is_dir():
+            raise OSError(f"cannot write --out {args.out}: {out_dir} is not a directory")
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
         extra = _COMMANDS[args.command][0](args)
         # the sidecar records the parsed flags, plus what the command adds

@@ -15,7 +15,16 @@ invertible region sum|phi| <= 0.99, sum|theta| <= 0.99.  Pure AR cells whose
 least-squares fit lies in that region take it as is.  Order selection
 follows auto.arima: d is the number of differences a KPSS test asks for,
 since AICc cannot compare fits of differently differenced data, and (p, q)
-is found by a stepwise AICc search at that d.  Forecasts continue the ARMA
+is found by a stepwise AICc search at that d.  The search leaves out every
+cell with q >= 1 that cannot win, as leaps and bounds does for subset
+regression (Furnival & Wilson, Technometrics 16(4), 1974).  The cell's
+residuals are e = L(theta)^-1 (y - X beta) on the rows and regressors of the
+least-squares AR(p) fit of the same w, so |y - X beta|^2 >= RSS_AR(p), the
+least over beta; and |L(theta)|_2 <= 1 + sum|theta_j| < 2 in the region, so
+the cell's RSS is at least RSS_AR(p) / 4.  A cell whose AICc at that RSS is
+above the least AICc fitted so far is not fitted; the bound is used only where
+RSS_AR(p) is above rounding level, and the q = 0 cells, which it never
+leaves out, are fitted first (``auto_fit``).  Forecasts continue the ARMA
 recursion from the in-sample residuals of the same CSS kernel, and their
 predictive intervals are the usual Gaussian psi-weight approximation, whose
 quantiles are the standard library's NormalDist.inv_cdf (Wichura's AS241).
@@ -435,8 +444,22 @@ def auto_fit(series: Series) -> ArimaFit:
     the search starts from the best of (2,2), (0,0), (1,0) and (0,1) and
     moves to the best neighbouring (p +- 1, q +- 1) cell while one lowers
     the key (AICc, p+q, d, p) (Hyndman & Khandakar, J. Stat. Softw. 27(3),
-    2008).  Cells whose fit does not converge are skipped.  The fit is
-    memoised by the series' values.
+    2008).  Cells whose fit does not converge are skipped.
+
+    A cell with q >= 1 is not fitted when its AICc at the RSS floor
+    RSS_AR(p) / 4 is above the least AICc fitted so far (see the module
+    docstring): its key could only be above the best one.  RSS_AR(p) is the
+    RSS of ``_ols_ar_fit`` on the cell's own differenced series and rows, so
+    the floor holds at any d, and with any column added to X that the AR fit
+    takes too, such as a drift term.  It is computed once per p, and only
+    when a q >= 1 cell is reached, with w; and it is used only above the
+    rounding level, RSS_AR(p) > _RSS_TOL * (w . w), since an exact AR fit
+    leaves rounding residuals that a cell's RSS can fall below.  The cells
+    are tried in order of q, (0,0), (1,0), (0,1), (2,2) first and then the
+    neighbours from q - 1 to q + 1, so that the floor has a least AICc to
+    beat; the minimum over distinct keys is the same in any order.  The
+    cells fitted and left out are logged at DEBUG.  The fit is memoised by
+    the series' values.
     """
     if len(series) < 4:
         raise ValueError(f"auto_fit needs at least 4 observations, got {len(series)}")
@@ -447,28 +470,55 @@ def auto_fit(series: Series) -> ArimaFit:
         return fit(series, 0, 0, 0)
     n, d = len(series), _kpss_d(values)
     fits: dict[tuple[int, int], ArimaFit | None] = {}
+    fitted: list[tuple[int, int]] = []
+    left_out: list[tuple[int, int]] = []
+    least = math.inf  # the least AICc fitted so far
+    w = None  # the differenced series, built on first use like each RSS_AR(p)
+    floors: dict[int, float] = {}
+
+    def rss_floor(p: int) -> float:
+        """RSS_AR(p) / 4, under the RSS of every cell (p, q); 0 where RSS_AR(p) is rounding."""
+        nonlocal w
+        if p not in floors:
+            if w is None:
+                w = np.asarray(difference(series, d).values, dtype=float)
+            resid = _ols_ar_fit(w, p)[1]
+            rss = float(resid @ resid)
+            floors[p] = rss / 4.0 if rss > _RSS_TOL * float(w @ w) else 0.0
+        return floors[p]
 
     def key(cell: tuple[int, int]) -> tuple:
-        """The cell's (aicc, p+q, d, p), or (inf,) if it cannot be selected."""
+        """The cell's (aicc, p+q, d, p), or (inf,) if it cannot be selected or cannot win."""
+        nonlocal least
         p, q = cell
         if cell not in fits:
             fits[cell] = None
             if 0 <= p <= MAX_P and 0 <= q <= MAX_Q and (n - d - p) - (p + q + 2) - 1 > 0:
-                try:
-                    fits[cell] = fit(series, p, d, q)
-                except RuntimeError:
-                    log.warning(
-                        "skipped ARIMA(%d,%d,%d), which did not converge on a series of length %d",
-                        p, d, q, n,
-                    )
+                if q and (floor := rss_floor(p)) and _aicc(floor, n - d - p, p, q) > least:
+                    left_out.append(cell)
+                else:
+                    fitted.append(cell)
+                    try:
+                        fits[cell] = fit(series, p, d, q)
+                        least = min(least, fits[cell].aicc)
+                    except RuntimeError:
+                        log.warning(
+                            "skipped ARIMA(%d,%d,%d), which did not converge on a series of length %d",
+                            p, d, q, n,
+                        )
         f = fits[cell]
         return (math.inf,) if f is None else (f.aicc, p + q, d, p)
 
-    best = min([(2, 2), (0, 0), (1, 0), (0, 1)], key=key)  # (0, 0) is always selectable
+    best = min([(0, 0), (1, 0), (0, 1), (2, 2)], key=key)  # (0, 0) is always selectable
     while True:
         p, q = best
-        step = min([(p + i, q + j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], key=key)
+        step = min([(p + i, q + j) for j in (-1, 0, 1) for i in (-1, 0, 1) if i or j], key=key)
         if key(step) >= key(best):
+            log.debug(
+                "ARIMA search at d=%d on a series of length %d fitted (p, q) %s; "
+                "the RSS bound left out %s",
+                d, n, fitted, left_out,
+            )
             return fits[best]
         best = step
 

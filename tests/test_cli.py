@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from graphforecast import solver
+from graphforecast import cli, solver
 from graphforecast.cli import _build_parser, main
 from graphforecast.ingest import expanding_windows, parse_edgelist
 from graphforecast.predictor import PredictParams
@@ -333,6 +333,24 @@ class TestBadInput:
         assert err.startswith("graphforecast: error: ")
         assert str(out) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "predict", "eval-synth", "eval-real", "sweep"])
+    def test_out_in_a_missing_directory_stops_before_the_command(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        def never(args):
+            raise AssertionError(f"{command} ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, (never, *cli._COMMANDS[command][1:]))
+        edges = tmp_path / "in.txt"
+        edges.write_text("1 2 1\n")
+        out = tmp_path / "no-such-dir" / "out.csv"
+        argv = [command, "--out", str(out)]
+        if "input" in cli._COMMANDS[command][2].split():
+            argv += ["--input", str(edges)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"graphforecast: error: cannot write --out {out}: {out.parent} is not a directory"]
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -1,8 +1,10 @@
+import logging
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
@@ -195,6 +197,24 @@ def short_count_cells(draw):
     n = draw(st.integers(max(6, p + q + d + 3), 15))
     values = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
     return ts.Series(tuple(map(float, values))), p, d, q
+
+
+@st.composite
+def degree_like_series(draw):
+    """A count series of length 4-20: small integers, their running sums, an exact
+    ramp, or a few small integers and then an exact ramp, on whose rows an AR fit
+    with as many lags as the prefix is exact up to rounding."""
+    n = draw(st.integers(4, 20))
+    kind = draw(st.sampled_from(["integers", "growth", "ramp", "near-exact"]))
+    if kind == "integers":
+        values = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    elif kind == "growth":
+        values = list(accumulate(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+    else:
+        head = draw(st.lists(st.integers(0, 5), min_size=kind == "near-exact", max_size=3))
+        start, step = draw(st.integers(0, 10)), draw(st.integers(0 if head else 1, 3))
+        values = head + [start + step * t for t in range(n - len(head))]
+    return tuple(map(float, values))
 
 
 @st.composite
@@ -419,6 +439,73 @@ def assert_stepwise_selection(values):
             assert key <= (cand.aicc, p + q, d, p)
 
 
+def stepwise_reference(values, record=None):
+    """auto_fit's search without the RSS bound: every neighbour is fitted.
+
+    From the best of (2,2), (0,0), (1,0) and (0,1) at the KPSS d, move to the
+    best neighbouring (p +- 1, q +- 1) cell while its key (AICc, p+q, d, p) is
+    lower.  A cell counts when its AICc is defined and its fit converges; each
+    fitted (p, q) is appended to record.
+    """
+    s = ts.Series(values)
+    n = len(s)
+    if len(set(values)) == 1:
+        return ts.fit(s, 0, 0, 0)
+    d = ts._kpss_d(values)
+    fits = {}
+
+    def key(cell):
+        p, q = cell
+        if cell not in fits:
+            fits[cell] = None
+            if 0 <= p <= ts.MAX_P and 0 <= q <= ts.MAX_Q and n - d - 2 * p - q - 3 > 0:
+                if record is not None:
+                    record.append(cell)
+                try:
+                    fits[cell] = ts.fit(s, p, d, q)
+                except RuntimeError:
+                    pass
+        f = fits[cell]
+        return (math.inf,) if f is None else (f.aicc, p + q, d, p)
+
+    best = min([(2, 2), (0, 0), (1, 0), (0, 1)], key=key)
+    while True:
+        p, q = best
+        step = min([(p + i, q + j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], key=key)
+        if key(step) >= key(best):
+            return fits[best]
+        best = step
+
+
+def rss_ar(values, p, d):
+    """RSS of the least-squares AR(p) fit on the d-differenced series."""
+    resid = ts._ols_ar_fit(np.asarray(ts.difference(ts.Series(values), d).values), p)[1]
+    return float(resid @ resid)
+
+
+def fitted_cells(monkeypatch, values):
+    """The (p, q) cells a cold auto_fit of values hands to ts.fit, in order."""
+    cells, fit = [], ts.fit
+
+    def recording(series, p, d, q):
+        cells.append((p, q))
+        return fit(series, p, d, q)
+
+    monkeypatch.setattr(ts, "fit", recording)
+    ts.auto_fit.cache_clear()
+    try:
+        ts.auto_fit(ts.Series(values))
+    finally:
+        ts.auto_fit.cache_clear()
+        monkeypatch.setattr(ts, "fit", fit)
+    return cells
+
+
+# a degree series of the predict-pa benchmark input (seed 1, round 0), on
+# which the search without the bound fits 7 cells and auto_fit 4
+PRUNED_SERIES = tuple(map(float, (10, 11, 12, 13, 14, 14, 15, 16, 16, 17, 18, 19)))
+
+
 class TestKpss:
     def test_constant_needs_no_difference(self):
         assert ts._kpss_d((7.0,) * 20) == 0
@@ -532,6 +619,82 @@ class TestAutoFit:
             ts.auto_fit.cache_clear()
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == ["skipped ARIMA(1,0,0), which did not converge on a series of length 40"]
+
+
+class TestOrderBound:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(degree_like_series())
+    @example(PRUNED_SERIES)
+    @example((1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0))
+    @example((1.0, 1.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0))
+    @example((2.0, 3.0, 3.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0))
+    def test_selection_equals_the_search_without_the_bound(self, values):
+        assert ts.auto_fit(ts.Series(values)) == stepwise_reference(values)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(degree_like_series(), st.integers(0, 3), st.integers(0, 2), st.integers(1, 3))
+    def test_rss_is_at_least_a_quarter_of_the_ar_rss(self, values, p, d, q):
+        n = len(values)
+        assume(n >= p + q + d + 3)
+        try:
+            fit = ts.fit(ts.Series(values), p, d, q)
+        except RuntimeError:
+            return
+        w = np.asarray(ts.difference(ts.Series(values), d).values)
+        floor = rss_ar(values, p, d)
+        # at rounding level, as on an exact ramp, both sides are noise (the
+        # fit's RSS can round to 0), and auto_fit applies no bound there
+        if floor > ts._RSS_TOL * (w @ w):
+            assert fit.sigma2 * (n - d - p) >= floor / 4.0
+
+    def test_an_exact_ar_fit_is_not_used_as_a_bound(self):
+        # AR(1) fits the rows t >= 1 exactly, so its RSS is rounding, under
+        # _RSS_TOL * (w . w).  The selected cell's RSS rounds to 0, below a
+        # quarter of it: a bound applied here would leave that cell out
+        values = (0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0)
+        assert ts._kpss_d(values) == 0
+        w = np.asarray(values)
+        assert 0.0 < rss_ar(values, 1, 0) <= ts._RSS_TOL * (w @ w)
+        chosen = ts.auto_fit(ts.Series(values))
+        assert (chosen.p, chosen.q, chosen.sigma2) == (1, 2, 0.0)
+        assert chosen == stepwise_reference(values)
+
+    def test_the_bound_leaves_out_cells(self, monkeypatch):
+        searched = []
+        expected = stepwise_reference(PRUNED_SERIES, searched)
+        cells = fitted_cells(monkeypatch, PRUNED_SERIES)
+        assert cells == [(0, 0), (1, 0), (2, 0), (1, 1)]
+        assert set(cells) < set(searched) and len(searched) == 7
+        assert ts.auto_fit(ts.Series(PRUNED_SERIES)) == expected
+
+    @pytest.mark.parametrize("values", [(4, 8, 11, 12), (9, 13, 18, 19, 22), (4, 4, 5, 4, 4)])
+    def test_a_search_without_ma_cells_builds_no_bound(self, values, monkeypatch):
+        # sweep-short's 4- and 5-point series admit no cell with q >= 1, so the
+        # only AR fits are those of the q = 0 cells themselves
+        calls, ols = [], ts._ols_ar_fit
+
+        def counting(w, p):
+            calls.append(p)
+            return ols(w, p)
+
+        monkeypatch.setattr(ts, "_ols_ar_fit", counting)
+        cells = fitted_cells(monkeypatch, tuple(map(float, values)))
+        assert all(q == 0 for _, q in cells)
+        assert calls == [p for p, _ in cells]
+
+    def test_the_search_is_logged_once_per_series(self, caplog):
+        caplog.set_level(logging.DEBUG, logger=ts.__name__)
+        ts.auto_fit.cache_clear()
+        try:
+            ts.auto_fit(ts.Series(PRUNED_SERIES))
+            ts.auto_fit(ts.Series(PRUNED_SERIES))  # memoised: no second search
+        finally:
+            ts.auto_fit.cache_clear()
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert debug == [
+            "ARIMA search at d=0 on a series of length 12 fitted (p, q) "
+            "[(0, 0), (1, 0), (2, 0), (1, 1)]; the RSS bound left out [(0, 1), (2, 2), (2, 1)]"
+        ]
 
 
 class TestForecast:
