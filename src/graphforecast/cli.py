@@ -31,29 +31,40 @@ from .datagen import PaConfig, pa_sequence, uniform_band_schedule
 from .predictor import PredictParams, predict, predict_distribution
 
 
-def _distinct(values: list) -> list:
-    """The parsed values of a list flag; an empty list or a repeat is an error."""
-    if not values:
-        raise ValueError("empty list")
-    if len(set(values)) < len(values):
-        raise ValueError("repeated value")
-    return values
+def _list_flag(parse):
+    """An argparse type: the values parse reads from a list flag's text.
+
+    A bad value, an empty list or a repeat raises ArgumentTypeError, whose
+    message ``'<text>': <reason>`` argparse prints as it is.
+    """
+
+    def parse_list(text: str) -> list:
+        try:
+            values = parse(text.strip())
+            if not values:
+                raise ValueError("empty list")
+            if len(set(values)) < len(values):
+                raise ValueError("repeated value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+        return values
+
+    return parse_list
 
 
+@_list_flag
 def _parse_int_list(text: str) -> list[int]:
-    """Accept '1,2,3' or a range '15-24'; an empty list or a repeat is an error."""
-    text = text.strip()
+    """Accept '1,2,3' or a range '15-24'."""
     if "-" in text and "," not in text:
         lo, hi = text.split("-", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(part) for part in text.split(",") if part]
-    return _distinct(values)
+        return list(range(int(lo), int(hi) + 1))
+    return [int(part) for part in text.split(",") if part]
 
 
+@_list_flag
 def _parse_float_list(text: str) -> list[float]:
-    """Accept '0.2,0.5'; an empty list or a repeat is an error."""
-    return _distinct([float(part) for part in text.split(",") if part])
+    """Accept '0.2,0.5'."""
+    return [float(part) for part in text.split(",") if part]
 
 
 _DEFAULT = PredictParams()
@@ -109,6 +120,8 @@ def _load_config(path: str) -> dict:
             value = spec.get("type", str)(val)
             if "choices" in spec and value not in spec["choices"]:
                 raise ValueError(f"not one of {spec['choices']}")
+        except argparse.ArgumentTypeError as exc:  # its message names the value
+            raise ValueError(f"config {key}={exc}") from None
         except ValueError as exc:
             raise ValueError(f"config {key}={val!r}: {exc}") from None
         values[key.replace("-", "_")] = value

@@ -7,7 +7,8 @@ and bounds the total number of selected edges by the u bound of the edge-count
 series; every forecast bound is ``timeseries.upper_bound``.  Rows follow
 ``HypotheticalGraph.vertex_order`` and columns follow its candidate list.  The
 matrix is the incidence matrix of the candidate graph with an all-ones row
-appended for the total-edge constraint.
+appended for the total-edge constraint; the candidate graph's endpoint rows
+are its only stored form.
 
 Only the bounds depend on a sweep cell's u.  The row layout, the endpoint
 rows and the existing-edge mask come from the candidate graph, which builds
@@ -18,7 +19,6 @@ distinct series is forecast once (``timeseries.forecast_with_fallback``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +33,8 @@ class ConstraintSystem:
 
     M has one row per vertex (two 1-entries per column) plus a final all-ones
     row; column j corresponds to the hypothetical graph's candidates[j].  M is
-    never formed: endpoint_rows determines it, and column_rows, activity and
-    columns give it in the forms the solver uses.
+    never formed: endpoint_rows determines it, activity applies it, and
+    columns gives it in HiGHS's compressed-column form.
     """
 
     row_vertices: tuple[int, ...]
@@ -50,34 +50,24 @@ class ConstraintSystem:
     def n_cols(self) -> int:
         return len(self.objective)
 
-    @cached_property
-    def column_rows(self) -> np.ndarray:
-        """(cols, 3) rows of each column's three 1-entries, ascending.
-
-        The column's two endpoint rows, sorted, then the total-edge row: M in
-        compressed-column form, whose entries are all 1.  Built once per
-        system; the root LP, its model and branch and bound share it.
-        """
-        C = self.n_cols
-        return np.column_stack(
-            [np.sort(self.endpoint_rows, axis=1), np.full(C, self.n_rows - 1)]
-        )
-
     def activity(self, x: np.ndarray) -> np.ndarray:
         """M @ x: each row's sum of x over its columns, added in column order."""
-        return np.bincount(
-            self.column_rows.ravel(), weights=np.repeat(x, 3), minlength=self.n_rows
+        out = np.bincount(
+            self.endpoint_rows.ravel(), weights=np.repeat(x, 2), minlength=self.n_rows
         )
+        # the total row adds in column order too, which x.sum() does not
+        out[-1] = np.add.accumulate(x, dtype=float)[-1] if self.n_cols else 0.0
+        return out
 
     def columns(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """M in compressed-column form: entry count, column starts, rows, values."""
+        """M in compressed-column form: entry count, column starts, rows, values.
+
+        A column's rows are its two endpoint rows, sorted, then the total row.
+        """
         n = self.n_cols
-        return (
-            3 * n,
-            np.arange(0, 3 * n, 3, dtype=np.int32),
-            self.column_rows.ravel().astype(np.int32),
-            np.ones(3 * n),
-        )
+        rows = np.column_stack([np.sort(self.endpoint_rows, axis=1), np.full(n, self.n_rows - 1)])
+        starts = np.arange(0, 3 * n, 3, dtype=np.int32)
+        return 3 * n, starts, rows.ravel().astype(np.int32), np.ones(3 * n)
 
     def validate(self) -> None:
         rows, cols = self.n_rows, self.n_cols

@@ -219,16 +219,12 @@ def _forced(cs: ConstraintSystem, f: np.ndarray) -> np.ndarray:
     is forced.
     """
     c = cs.objective
-    forced = np.zeros(cs.n_cols, dtype=bool)
-    if cs.n_cols == 0 or c.max() <= 0:
-        return forced
-    top = c == c.max()
-    if 2.0 * c[~top].max(initial=0.0) >= c.max() or f[-1] < top.sum():
-        return forced
-    e = cs.endpoint_rows[top]
-    roomy = f >= np.bincount(e.ravel(), minlength=cs.n_rows)
-    forced[np.flatnonzero(top)[roomy[e[:, 0]] & roomy[e[:, 1]]]] = True
-    return forced
+    W = c.max(initial=0.0)
+    top = c == W
+    if 2.0 * c[~top].max(initial=0.0) >= W:  # also when there is no weight above 0
+        return np.zeros(cs.n_cols, dtype=bool)
+    roomy = f >= cs.activity(top)  # rows that admit all their W-weight columns
+    return top & roomy[cs.endpoint_rows].all(axis=1) & roomy[-1]
 
 
 def _free_columns(

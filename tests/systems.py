@@ -41,11 +41,15 @@ def random_system(rng):
 
 
 def incidence(cs):
-    """M from endpoint_rows alone: a 1 at each endpoint row and the total row of every column."""
+    """M as a scipy.sparse CSC array, from endpoint_rows alone.
+
+    Each column's rows ascend: its two endpoint rows, sorted, then the total row.
+    """
     C = cs.n_cols
-    rows = np.concatenate([cs.endpoint_rows.ravel(), np.full(C, cs.n_rows - 1)])
-    cols = np.concatenate([np.repeat(np.arange(C), 2), np.arange(C)])
-    return sparse.csr_array((np.ones(3 * C), (rows, cols)), shape=(cs.n_rows, C))
+    rows = np.column_stack([np.sort(cs.endpoint_rows, axis=1), np.full(C, cs.n_rows - 1)])
+    return sparse.csc_array(
+        (np.ones(3 * C), rows.ravel(), np.arange(0, 3 * C + 1, 3)), shape=(cs.n_rows, C)
+    )
 
 
 def floored(cs):

@@ -380,26 +380,31 @@ class TestBadInput:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv, flag, value",
+        "argv, flag, value, reason",
         [
             (["eval-synth", "--out", "OUT", "--runs", "1", "--horizons", "3-1"],
-             "--horizons", "3-1"),
-            (["eval-synth", "--out", "OUT", "--runs", "1", "--horizons", ""], "--horizons", ""),
+             "--horizons", "3-1", "empty list"),
+            (["eval-synth", "--out", "OUT", "--runs", "1", "--horizons", ""],
+             "--horizons", "", "empty list"),
             (["eval-synth", "--out", "OUT", "--runs", "1", "--horizons", "1,1"],
-             "--horizons", "1,1"),
-            (["eval-real", "--input", "IN", "--out", "OUT", "--Ts", ""], "--Ts", ""),
+             "--horizons", "1,1", "repeated value"),
+            (["eval-real", "--input", "IN", "--out", "OUT", "--Ts", ""], "--Ts", "", "empty list"),
             (["eval-real", "--input", "IN", "--out", "OUT", "--Ts", "15,15,16"],
-             "--Ts", "15,15,16"),
-            (["sweep", "--input", "IN", "--out", "OUT", "--gammas", ""], "--gammas", ""),
-            (["sweep", "--input", "IN", "--out", "OUT", "--us", "0.8,0.8"], "--us", "0.8,0.8"),
+             "--Ts", "15,15,16", "repeated value"),
+            (["sweep", "--input", "IN", "--out", "OUT", "--gammas", ""],
+             "--gammas", "", "empty list"),
+            (["sweep", "--input", "IN", "--out", "OUT", "--us", "0.8,0.8"],
+             "--us", "0.8,0.8", "repeated value"),
             (["sweep", "--input", "IN", "--out", "OUT", "--gammas", "0.5,0.50"],
-             "--gammas", "0.5,0.50"),
+             "--gammas", "0.5,0.50", "repeated value"),
+            (["eval-synth", "--out", "OUT", "--runs", "1", "--horizons", "1,x"],
+             "--horizons", "1,x", "invalid literal for int() with base 10: 'x'"),
         ],
         ids=["reversed-range", "empty", "repeat", "empty-Ts", "repeat-Ts", "empty-gammas",
-             "repeat-us", "repeat-gammas"],
+             "repeat-us", "repeat-gammas", "bad-value"],
     )
     def test_empty_or_repeated_list_is_a_usage_error(
-        self, small_edgelist, tmp_path, capsys, argv, flag, value
+        self, small_edgelist, tmp_path, capsys, argv, flag, value, reason
     ):
         out = tmp_path / "out.txt"
         paths = {"IN": str(small_edgelist), "OUT": str(out)}
@@ -407,8 +412,7 @@ class TestBadInput:
             main([paths.get(a, a) for a in argv])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: invalid" in err
-        assert f"value: {value!r}" in err
+        assert f"argument {flag}: {value!r}: {reason}\n" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

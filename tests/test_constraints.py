@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from graphforecast import constraints, timeseries
 from graphforecast.candidates import build_hypothetical
@@ -17,6 +16,8 @@ from graphforecast.graphs import (
     new_vertex_degree_pool,
     vertex_count_series,
 )
+
+from systems import incidence
 
 
 def constant_series(graph, length=6):
@@ -30,15 +31,6 @@ def path_graph(ids):
 def activity_matrix(cs):
     """M column by column, as the system's own activity computes it."""
     return np.column_stack([cs.activity(e) for e in np.eye(cs.n_cols)])
-
-
-def csc_oracle(cs):
-    """M as a scipy.sparse CSC array, each column's rows ascending, built from endpoint_rows."""
-    C = cs.n_cols
-    rows = np.column_stack([np.sort(cs.endpoint_rows, axis=1), np.full(C, cs.n_rows - 1)])
-    return sparse.csc_array(
-        (np.ones(3 * C), rows.ravel(), np.arange(0, 3 * C + 1, 3)), shape=(cs.n_rows, C)
-    )
 
 
 class TestDegreeBounds:
@@ -159,11 +151,6 @@ class TestAssemble:
         dense = activity_matrix(cs)
         assert (dense[:-1, :].sum(axis=0) == 2.0).all()
 
-    def test_matrix_is_built_once(self):
-        series = constant_series(path_graph([0, 1, 2]))
-        cs = constraints.assemble(series, build_hypothetical(series, 1, 0.5, 2), 1, 0.8, 1e-3)
-        assert cs.column_rows is cs.column_rows
-
     def test_matches_incidence_matrix_up_to_column_order(self):
         series = constant_series(path_graph([0, 1, 2, 3]))
         H = build_hypothetical(series, 1, 0.5, 2)
@@ -257,16 +244,31 @@ class TestIncidence:
     @given(incidence_cases())
     def test_activity_is_the_sparse_product(self, case):
         cs, x = case
-        M = csc_oracle(cs)
+        M = incidence(cs)
         assert np.array_equal(cs.activity(x), M @ x)  # bit for bit: both add in column order
         mask = x > 0
         assert np.array_equal(cs.activity(mask), M @ mask)
+
+    def test_the_total_row_adds_in_column_order(self):
+        # in column order 1e16 absorbs each later 1.0 (a tie, rounded to even);
+        # numpy's pairwise x.sum() adds some of the 1.0s to each other first
+        C = 18
+        x = np.array([1e16] + [1.0] * (C - 1))
+        cs = constraints.ConstraintSystem(
+            row_vertices=tuple(range(4)),
+            endpoint_rows=np.array([(j % 4, (j + 1) % 4) for j in range(C)], dtype=np.int64),
+            upper_bounds=np.ones(5),
+            objective=np.ones(C),
+        )
+        M = incidence(cs)
+        assert (M @ x)[-1] == 1e16 != x.sum()
+        assert np.array_equal(cs.activity(x), M @ x)
 
     @settings(derandomize=True, deadline=None)
     @given(incidence_cases())
     def test_columns_are_the_csc_slice(self, case):
         cs, _ = case
-        A = csc_oracle(cs)
+        A = incidence(cs)
         nnz, starts, indices, data = cs.columns()
         assert nnz == A.nnz
         assert starts.dtype == indices.dtype == np.int32 and data.dtype == np.float64
