@@ -67,6 +67,20 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a seed is an integer >= 0, as numpy's SeedSequence takes.
+
+    A bad value raises ArgumentTypeError with the message ``'<text>': <reason>``.
+    """
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r}: must be >= 0")
+    return value
+
+
 _DEFAULT = PredictParams()
 
 # each flag once, as its add_argument keywords; no flag name contains '_', so
@@ -96,7 +110,7 @@ _FLAGS: dict[str, dict] = {
     "base": dict(type=int, default=evaluate.SYNTH_SCHEDULE[0], help="vertex-target base"),
     "step": dict(type=int, default=evaluate.SYNTH_SCHEDULE[1], help="vertex-target step"),
     "width": dict(type=int, default=evaluate.SYNTH_SCHEDULE[2], help="vertex-target band"),
-    "seed": dict(type=int, default=0, help="random seed"),
+    "seed": dict(type=_seed, default=0, help="random seed (>= 0)"),
 }
 
 

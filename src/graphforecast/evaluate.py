@@ -6,8 +6,9 @@ relative errors of the vertex and edge counts, and contrasted with the
 Both protocols score through one loop, ``_evaluate``: a protocol only
 yields its windows (training series, full series, T), the synthetic one a
 generated series per run and the moving-window one a window per T.  Each
-window is predicted at every horizon h and scored, with its baseline,
-against snapshot T + h, and the errors are averaged over the windows.
+window is predicted at every horizon h, longest first, and scored, with its
+baseline, against snapshot T + h, and the errors are averaged over the
+windows.
 """
 
 from __future__ import annotations
@@ -86,16 +87,20 @@ def _evaluate(
 
     A window is (train, full, T): the prediction from ``train`` at horizon h
     and the last-seen baseline ``train.last`` are both scored against
-    ``full.snapshot(T + h)``.
+    ``full.snapshot(T + h)``.  A window's horizons are predicted longest
+    first, so each of its count series is forecast once, and the shorter
+    horizons take prefixes of that forecast (``forecast_with_fallback``);
+    the reports keep the order of ``horizons``.
     """
+    longest_first = sorted(range(len(horizons)), key=horizons.__getitem__, reverse=True)
     cells = []  # per window, per horizon: vertex, edge, baseline vertex, baseline edge
     for train, full, T in windows:
-        row = []
-        for h in horizons:
-            actual = full.snapshot(T + h)
-            predicted = predict(train, replace(params, h=h)).graph
-            row.append([err(g, actual) for g in (predicted, train.last)
-                        for err in (vertex_error, edge_error)])
+        row = [None] * len(horizons)
+        for i in longest_first:
+            actual = full.snapshot(T + horizons[i])
+            predicted = predict(train, replace(params, h=horizons[i])).graph
+            row[i] = [err(g, actual) for g in (predicted, train.last)
+                      for err in (vertex_error, edge_error)]
         cells.append(row)
     return [
         EvalReport(h, ve, ee, bve, bee, _reduction(ve, bve), _reduction(ee, bee))

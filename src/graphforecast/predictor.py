@@ -109,10 +109,11 @@ def predict_distribution(
 
     Each cell is ``base`` with its gamma and u replaced, and runs ``predict``.
     The cells share what does not depend on their own (gamma, u): each
-    distinct count series is forecast once (``forecast_with_fallback``),
-    each degree series built once, and the gammas that forecast the same
-    vertex count get one candidate graph with its row layout, endpoint rows
-    and existing-edge mask (``build_hypothetical``).  A cell computes only
+    distinct count series is forecast once, at the longest horizon asked of
+    it (``forecast_with_fallback``), each degree series built once, and the
+    gammas that forecast the same vertex count get one candidate graph with
+    its row layout, endpoint rows and existing-edge mask
+    (``build_hypothetical``).  A cell computes only
     its bounds and its solve.  The cells also share one LP model: the u
     cells of a gamma have the same candidate columns (so do the gammas that
     forecast the same vertex count), so each of their root LPs starts from

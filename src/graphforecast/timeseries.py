@@ -29,10 +29,15 @@ recursion from the in-sample residuals of the same CSS kernel, and their
 predictive intervals are the usual Gaussian psi-weight approximation, whose
 quantiles are the standard library's NormalDist.inv_cdf (Wichura's AS241).
 ``upper_bound`` turns a count series into its forecast quantile clamped at
-0, the one form every count forecast of the prediction takes.  ``auto_fit``
-and ``forecast_with_fallback`` are memoised by the series they take, which
-hashes by value, so a sweep's cells and a protocol's horizons fit and
-forecast each distinct series once.
+0, the one form every count forecast of the prediction takes.
+
+Each quantity is computed once per series, which hashes by value.
+``auto_fit`` is memoised by the series; within its search the d-differenced
+array is built once per (series, d) and the least-squares AR(p) fit solved
+once per (series, d, p).  ``forecast_with_fallback`` forecasts each count
+series once, at the longest horizon asked of it, and returns a shorter
+horizon as the prefix of that forecast, so a sweep's cells and a protocol's
+horizons fit and forecast each distinct series once.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ _DAMPING_MAX = 1e10  # no damped step lowers the RSS: a minimum, or one on the r
 _KPSS_CRITICAL = 0.463
 
 _STANDARD_NORMAL = NormalDist()
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -150,6 +156,14 @@ def difference(series: Series, d: int) -> Series:
     return Series(tuple(vals))
 
 
+@lru_cache(maxsize=MAX_D + 1)  # every level one series' fits and forecast ask for
+def _differenced(series: Series, d: int) -> np.ndarray:
+    """difference(series, d) as a read-only float array, memoised by (series, d)."""
+    w = np.asarray(difference(series, d).values, dtype=float)
+    w.flags.writeable = False
+    return w
+
+
 def _regressors(w: np.ndarray, p: int) -> np.ndarray:
     """The CSS equations of w as columns [y, 1, w_{t-1}, ..., w_{t-p}] over t = p..n-1."""
     n = len(w)
@@ -160,15 +174,33 @@ def _regressors(w: np.ndarray, p: int) -> np.ndarray:
     return yX
 
 
-def _ols_ar_fit(w, p):
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares solution of A x = b, as np.linalg.lstsq(A, b, rcond=None) gives it.
+
+    LAPACK gelsd through numpy's own kernel, without lstsq's checks and
+    reshaping, which cost several times the solve at these sizes.
+    """
+    rcond = _EPS * max(A.shape)
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.lstsq(A, b[:, None], rcond, signature="ddd->ddid")[0][:, 0]
+
+
+@lru_cache(maxsize=MAX_P + MAX_Q + 1)  # every AR order one search can ask for
+def _ols_ar_fit(series: Series, d: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fit of w_t on an intercept and p lags, with its residuals
-    over t = p..n-1; the exact CSS optimum for q=0."""
+    over t = p..n-1, for w the d-differenced series; the exact CSS optimum for
+    q=0.  Memoised by (series, d, p): the (p, 0) cell, the RSS floor of the
+    (p, q) cells and the Hannan-Rissanen start share one solve."""
+    w = _differenced(series, d)
     if p == 0:
         c = float(np.mean(w))
-        return np.array([c]), w - c
-    yX = _regressors(w, p)
-    beta, *_ = np.linalg.lstsq(yX[:, 1:], yX[:, 0], rcond=None)
-    return beta, yX[:, 0] - yX[:, 1:] @ beta
+        beta, resid = np.array([c]), w - c
+    else:
+        yX = _regressors(w, p)
+        beta = _lstsq(yX[:, 1:], yX[:, 0])
+        resid = yX[:, 0] - yX[:, 1:] @ beta
+    beta.flags.writeable = resid.flags.writeable = False
+    return beta, resid
 
 
 def _project_region(params: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -182,19 +214,20 @@ def _project_region(params: np.ndarray, p: int, q: int) -> np.ndarray:
     return out
 
 
-def _hannan_rissanen_start(w: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Two-stage regression start: residuals of a long AR feed a lagged-error fit."""
+def _hannan_rissanen_start(series: Series, d: int, p: int, q: int) -> np.ndarray:
+    """Two-stage regression start on the d-differenced series: residuals of a
+    long AR feed a lagged-error fit."""
+    w = _differenced(series, d)
     n = len(w)
     L = min(max(p + q, 2), max((n - 1) // 2, 1))
-    e = np.zeros(n)
-    e[L:] = _ols_ar_fit(w, L)[1]
     m = max(p, q) + L
     if n - m < p + q + 2:
-        return np.concatenate([_ols_ar_fit(w, p)[0], np.zeros(q)])
+        return np.concatenate([_ols_ar_fit(series, d, p)[0], np.zeros(q)])
+    e = np.zeros(n)
+    e[L:] = _ols_ar_fit(series, d, L)[1]
     yX = _regressors(w, p)[m - p :]
     X = np.hstack([yX[:, 1:], _regressors(e, q)[m - q :, 2:]])
-    beta2, *_ = np.linalg.lstsq(X, yX[:, 0], rcond=None)
-    return beta2
+    return _lstsq(X, yX[:, 0])
 
 
 @lru_cache(maxsize=None)
@@ -235,11 +268,11 @@ def _css_jacobian(e: np.ndarray, L, LinvX: np.ndarray, q: int) -> np.ndarray:
     """
     m, k = LinvX.shape
     J = np.zeros((m, k + q))
-    J[:, :k] = -LinvX
+    np.negative(LinvX, out=J[:, :k])
     if q:
         u = dtrsm(1.0, L, e[:, None], lower=1, diag=1)[:, 0]
         for j in range(q):
-            J[j + 1 :, k + j] = -u[: m - 1 - j]
+            np.negative(u[: m - 1 - j], out=J[j + 1 :, k + j])
     return J
 
 
@@ -280,16 +313,16 @@ def _step_limit(x: list[float], dx: list[float]) -> float:
 def _solve(M: np.ndarray, g: np.ndarray, free: np.ndarray | None = None):
     """h solving M h = -g for the free parameters (all by default), 0 for the others.
 
-    None when M is singular.
+    None when M is singular, which the kernel flags as invalid: call it under
+    np.errstate(invalid="raise").
     """
-    A, b = (M, -g) if free is None else (M[np.ix_(free, free)], -g[free])
+    A, b = (M, -g) if free is None else (M[free][:, free], -g[free])
     # LAPACK gesv through numpy's own kernel: np.linalg.solve's checks cost 5 us around
     # its 1.5 us solve, and scipy's dgesv links another OpenBLAS, which rounds differently
-    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-        try:
-            x = _umath_linalg.solve1(A, b)
-        except FloatingPointError:
-            return None  # the kernel flags a singular system as invalid
+    try:
+        x = _umath_linalg.solve1(A, b)
+    except FloatingPointError:
+        return None
     if free is None:
         return x
     h = np.zeros_like(g)
@@ -306,16 +339,17 @@ def _damped_step(M: np.ndarray, g: np.ndarray, params: np.ndarray, blocks) -> np
     """
     x = params.tolist()
     free = None  # every parameter, until a block is held
-    while (step := _solve(M, g, free)) is not None:
-        dx = step.tolist()
-        limits = [_step_limit(x[b], dx[b]) for b in blocks]
-        if all(limits):
-            return min(limits, default=1.0) * step
-        if free is None:
-            free = np.ones(len(g), dtype=bool)
-        for b, t in zip(blocks, limits):
-            if t == 0.0:
-                free[b] = False
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        while (step := _solve(M, g, free)) is not None:
+            dx = step.tolist()
+            limits = [_step_limit(x[b], dx[b]) for b in blocks]
+            if all(limits):
+                return min(limits, default=1.0) * step
+            if free is None:
+                free = np.ones(len(g), dtype=bool)
+            for b, t in zip(blocks, limits):
+                if t == 0.0:
+                    free[b] = False
     return np.zeros_like(g)  # M is singular: rejected like any step that does not lower the RSS
 
 
@@ -382,15 +416,16 @@ def fit(series: Series, p: int, d: int, q: int) -> ArimaFit:
         raise ValueError(
             f"series of length {n} is too short for ARIMA({p},{d},{q}); need >= {p + q + d + 3}"
         )
-    w = np.asarray(difference(series, d).values, dtype=float)
+    w = _differenced(series, d)
     if q == 0:
-        params, resid = _ols_ar_fit(w, p)
+        params, resid = _ols_ar_fit(series, d, p)
         rss = float(resid @ resid)
         start = _project_region(params, p, q)
         if not np.array_equal(start, params):
             params, rss = _lm_fit(w, p, q, start)
     else:
-        params, rss = _lm_fit(w, p, q, _project_region(_hannan_rissanen_start(w, p, q), p, q))
+        start = _hannan_rissanen_start(series, d, p, q)
+        params, rss = _lm_fit(w, p, q, _project_region(start, p, q))
     n_eff = len(w) - p
     sigma2 = rss / n_eff
     return ArimaFit(
@@ -451,9 +486,10 @@ def auto_fit(series: Series) -> ArimaFit:
     docstring): its key could only be above the best one.  RSS_AR(p) is the
     RSS of ``_ols_ar_fit`` on the cell's own differenced series and rows, so
     the floor holds at any d, and with any column added to X that the AR fit
-    takes too, such as a drift term.  It is computed once per p, and only
-    when a q >= 1 cell is reached, with w; and it is used only above the
-    rounding level, RSS_AR(p) > _RSS_TOL * (w . w), since an exact AR fit
+    takes too, such as a drift term.  It is asked for only when a q >= 1
+    cell is reached, and the search solves each AR(p) once: the (p, 0) cell,
+    the floor and the Hannan-Rissanen starts share the memoised solve.  The
+    floor is used only above the rounding level, RSS_AR(p) > _RSS_TOL * (w . w), since an exact AR fit
     leaves rounding residuals that a cell's RSS can fall below.  The cells
     are tried in order of q, (0,0), (1,0), (0,1), (2,2) first and then the
     neighbours from q - 1 to q + 1, so that the floor has a least AICc to
@@ -473,19 +509,12 @@ def auto_fit(series: Series) -> ArimaFit:
     fitted: list[tuple[int, int]] = []
     left_out: list[tuple[int, int]] = []
     least = math.inf  # the least AICc fitted so far
-    w = None  # the differenced series, built on first use like each RSS_AR(p)
-    floors: dict[int, float] = {}
 
     def rss_floor(p: int) -> float:
         """RSS_AR(p) / 4, under the RSS of every cell (p, q); 0 where RSS_AR(p) is rounding."""
-        nonlocal w
-        if p not in floors:
-            if w is None:
-                w = np.asarray(difference(series, d).values, dtype=float)
-            resid = _ols_ar_fit(w, p)[1]
-            rss = float(resid @ resid)
-            floors[p] = rss / 4.0 if rss > _RSS_TOL * float(w @ w) else 0.0
-        return floors[p]
+        w, resid = _differenced(series, d), _ols_ar_fit(series, d, p)[1]
+        rss = float(resid @ resid)
+        return rss / 4.0 if rss > _RSS_TOL * float(w @ w) else 0.0
 
     def key(cell: tuple[int, int]) -> tuple:
         """The cell's (aicc, p+q, d, p), or (inf,) if it cannot be selected or cannot win."""
@@ -549,7 +578,7 @@ def forecast(fit_: ArimaFit, series: Series, h: int) -> Forecast:
         raise ValueError("forecast horizon must be >= 1")
     p, q, c = fit_.p, fit_.q, fit_.intercept
     ar, ma = fit_.ar_coeffs, fit_.ma_coeffs
-    w = np.asarray(difference(series, fit_.d).values, dtype=float)
+    w = _differenced(series, fit_.d)
     n = len(w)
     e = np.zeros(n)
     e[p:] = _css_residuals(_regressors(w, p), np.array([c, *ar, *ma]), q)[0]
@@ -568,7 +597,7 @@ def forecast(fit_: ArimaFit, series: Series, h: int) -> Forecast:
     fc = wext[n:]
     for level in range(fit_.d - 1, -1, -1):
         # a running sum from the level's last value, added left to right
-        fc = list(accumulate(fc, initial=difference(series, level).values[-1]))[1:]
+        fc = list(accumulate(fc, initial=float(_differenced(series, level)[-1])))[1:]
     psi = _psi_weights(fit_, h)
     variances = fit_.sigma2 * np.cumsum(psi * psi)
     std_errs = np.sqrt(np.maximum(variances, 0.0))
@@ -584,23 +613,44 @@ def quantile(forecast_: Forecast, step: int, q: float) -> float:
     return forecast_.means[step - 1] + _STANDARD_NORMAL.inv_cdf(q) * forecast_.std_errs[step - 1]
 
 
-@lru_cache(maxsize=8192)
-def forecast_with_fallback(series: Series, h: int) -> Forecast:
-    """Forecast via auto_fit, or a last-value carry for series shorter than 4.
+# the longest forecast made of each count series, oldest series first
+_longest: dict[Series, Forecast] = {}
+_LONGEST_KEPT = 8192
 
-    The fallback uses the last observation as the mean at every step and the
-    sample standard deviation (0 for a single point) as the spread, so young
-    vertices with brief histories never fail the pipeline.  The result is
-    memoised by (series, h): a sweep's cells, and vertices with equal degree
-    histories, forecast each distinct series once.
-    """
-    if h < 1:
-        raise ValueError("forecast horizon must be >= 1")
+
+def _forecast_or_carry(series: Series, h: int) -> Forecast:
+    """The h-step forecast of auto_fit's model, or a last-value carry for series shorter than 4."""
     if len(series) >= 4:
         return forecast(auto_fit(series), series, h)
     vals = np.asarray(series.values, dtype=float)
     sd = float(np.std(vals, ddof=1)) if len(vals) >= 2 else 0.0
     return Forecast((float(vals[-1]),) * h, (sd,) * h)
+
+
+def forecast_with_fallback(series: Series, h: int) -> Forecast:
+    """Forecast via auto_fit, or a last-value carry for series shorter than 4.
+
+    The fallback uses the last observation as the mean at every step and the
+    sample standard deviation (0 for a single point) as the spread, so young
+    vertices with brief histories never fail the pipeline.  Each series is
+    forecast once, at the longest horizon asked of it so far: a shorter
+    horizon is the first h steps of that forecast, which are the h-step
+    forecast bit for bit (the ARMA recursion, the integration and the psi
+    weights all run step by step).  So a sweep's cells, vertices with equal
+    degree histories, and a protocol that asks its longest horizon first
+    forecast each distinct series once.  The memo holds the latest
+    _LONGEST_KEPT series.
+    """
+    if h < 1:
+        raise ValueError("forecast horizon must be >= 1")
+    longest = _longest.get(series)
+    if longest is None or longest.horizon < h:
+        if longest is None and len(_longest) == _LONGEST_KEPT:
+            del _longest[next(iter(_longest))]
+        longest = _longest[series] = _forecast_or_carry(series, h)
+    if longest.horizon == h:
+        return longest
+    return Forecast(longest.means[:h], longest.std_errs[:h])
 
 
 def upper_bound(series: Series, h: int, q: float) -> float:

@@ -415,6 +415,21 @@ class TestBadInput:
         assert f"argument {flag}: {value!r}: {reason}\n" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["synth"], ["eval-synth", "--runs", "1"]])
+    @pytest.mark.parametrize("seed, reason", [("-1", "must be >= 0"),
+                                              ("x", "invalid literal for int() with base 10: 'x'")])
+    def test_bad_seed_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, command, seed, reason):
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--out", str(out), "--seed", seed])
+        assert exc.value.code == 2
+        assert f"argument --seed: {seed!r}: {reason}\n" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed={seed}\n")
+        assert main(["--config", str(cfg), *command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"graphforecast: error: config seed={seed!r}: {reason}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "config, argv, message",
         [

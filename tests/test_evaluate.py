@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from graphforecast import evaluate
+from graphforecast import evaluate, timeseries
 from graphforecast.datagen import PaConfig, delete_edges, pa_sequence, run_seed, uniform_band_schedule
 from graphforecast.evaluate import (
     EvalReport,
@@ -179,6 +179,41 @@ class TestOneScoringRule:
         )
         real = run_real_experiment(series, Ts=[T], horizons=horizons, params=tiny_params(), window=T)
         assert synthetic == real
+
+
+class TestForecastOnce:
+    """A protocol forecasts each count series once, at its longest horizon."""
+
+    def test_each_series_is_forecast_once(self, monkeypatch):
+        asked, forecast_for = [], []
+        with_fallback, forecast = timeseries.forecast_with_fallback, timeseries.forecast
+
+        def asking(series, h):
+            asked.append(series)
+            return with_fallback(series, h)
+
+        def counting(fit, series, h):
+            forecast_for.append(series)
+            return forecast(fit, series, h)
+
+        monkeypatch.setattr(timeseries, "forecast_with_fallback", asking)
+        monkeypatch.setattr(timeseries, "forecast", counting)
+        timeseries._longest.clear()
+        tiny_synthetic(experiment=2, runs=1, T=8, horizons=(1, 2, 3, 4, 5),
+                       s=3, s0=8, schedule=(10, 3, 2))
+        long_enough = {s for s in asked if len(s) >= 4}
+        assert len(forecast_for) == len(long_enough) > 0
+        assert set(forecast_for) == long_enough
+
+    def test_reports_keep_the_order_of_the_horizons(self):
+        series = TestRealExperiment().make_series(12)
+
+        def run(horizons):
+            return run_real_experiment(
+                series, Ts=[8, 9], horizons=horizons, params=tiny_params(), window=8
+            )
+
+        assert run((3, 1, 2)) == [run((h,))[0] for h in (3, 1, 2)]
 
 
 class TestCsvOutput:

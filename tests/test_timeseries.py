@@ -376,7 +376,7 @@ class TestFitRegion:
         assert sum(abs(v) for v in fit.ar_coeffs) <= 0.99
         assert sum(abs(v) for v in fit.ma_coeffs) <= 0.99
         w = np.asarray(ts.difference(series, d).values)
-        start = ts._project_region(ts._hannan_rissanen_start(w, p, q), p, q)
+        start = ts._project_region(ts._hannan_rissanen_start(series, d, p, q), p, q)
         start_rss = css_rss_reference(w.tolist(), p, q, start.tolist())
         assert fit.sigma2 * (len(w) - p) <= start_rss * (1 + 1e-12) + 1e-12
 
@@ -479,7 +479,7 @@ def stepwise_reference(values, record=None):
 
 def rss_ar(values, p, d):
     """RSS of the least-squares AR(p) fit on the d-differenced series."""
-    resid = ts._ols_ar_fit(np.asarray(ts.difference(ts.Series(values), d).values), p)[1]
+    resid = ts._ols_ar_fit(ts.Series(values), d, p)[1]
     return float(resid @ resid)
 
 
@@ -673,14 +673,28 @@ class TestOrderBound:
         # only AR fits are those of the q = 0 cells themselves
         calls, ols = [], ts._ols_ar_fit
 
-        def counting(w, p):
+        def counting(series, d, p):
             calls.append(p)
-            return ols(w, p)
+            return ols(series, d, p)
 
         monkeypatch.setattr(ts, "_ols_ar_fit", counting)
         cells = fitted_cells(monkeypatch, tuple(map(float, values)))
         assert all(q == 0 for _, q in cells)
         assert calls == [p for p, _ in cells]
+
+    def test_each_ar_order_is_solved_once_per_search(self, monkeypatch):
+        # the (p, 0) cells, the RSS floors of the (p, q) cells and the
+        # Hannan-Rissanen starts ask for the same AR fits; each is solved once
+        asked, ols = [], ts._ols_ar_fit
+
+        def asking(series, d, p):
+            asked.append(p)
+            return ols(series, d, p)
+
+        monkeypatch.setattr(ts, "_ols_ar_fit", asking)
+        ols.cache_clear()
+        fitted_cells(monkeypatch, PRUNED_SERIES)
+        assert ols.cache_info().misses == len(set(asked)) < len(asked)
 
     def test_the_search_is_logged_once_per_series(self, caplog):
         caplog.set_level(logging.DEBUG, logger=ts.__name__)
@@ -850,8 +864,13 @@ class TestFallback:
     def test_cached_forecast_equals_a_fresh_one(self, values, h):
         s = ts.Series(tuple(values))
         first = ts.forecast_with_fallback(s, h)
-        # an equal series, not the same object, finds the memoised forecast
-        assert ts.forecast_with_fallback(ts.Series(tuple(values)), h) is first
+        # an equal series, not the same object, finds the memoised forecast,
+        # with nothing left to compute it
+        compute, ts._forecast_or_carry = ts._forecast_or_carry, None
+        try:
+            assert ts.forecast_with_fallback(ts.Series(tuple(values)), h) == first
+        finally:
+            ts._forecast_or_carry = compute
         assert ts.auto_fit(ts.Series(tuple(values))) is ts.auto_fit(s)
         assert first == ts.forecast(ts.auto_fit(s), s, h)
 
@@ -863,7 +882,174 @@ class TestFallback:
     )
     def test_a_forecast_is_the_prefix_of_a_longer_one(self, values, h, extra):
         # the short-series fallback included; the memo is bypassed, so both are computed
-        forecast, s = ts.forecast_with_fallback.__wrapped__, ts.Series(tuple(values))
+        forecast, s = ts._forecast_or_carry, ts.Series(tuple(values))
         short, longer = forecast(s, h), forecast(s, h + extra)
         assert short.means == longer.means[:h]
         assert short.std_errs == longer.std_errs[:h]
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.lists(st.integers(0, 30).map(float), min_size=1, max_size=19),
+        st.integers(1, 5),
+        st.integers(1, 5),
+    )
+    def test_a_shorter_horizon_asked_later_is_the_prefix(self, values, h, extra):
+        ts._longest.clear()
+        s = ts.Series(tuple(values))
+        longer = ts.forecast_with_fallback(s, h + extra)
+        shorter = ts.forecast_with_fallback(ts.Series(tuple(values)), h)
+        assert (shorter.means, shorter.std_errs) == (longer.means[:h], longer.std_errs[:h])
+        assert shorter == ts._forecast_or_carry(s, h)
+        # a longer horizon than any asked so far is forecast afresh
+        assert ts.forecast_with_fallback(s, h + extra + 1) == ts._forecast_or_carry(s, h + extra + 1)
+
+
+# auto_fit's selection on seeded series: the degree series of vertices 1, 2,
+# 15, 23 and 26 of pa_sequence(PaConfig(s=10, s0=15, length=15,
+# schedule=uniform_band_schedule(15, 1, 1), seed=run_seed(1, 0, 0))), of
+# vertices 0, 11 and 13 after delete_edges(series, 5, 10, run_seed(1, 0, 1)),
+# the edge count after the deletions, and the vertex- and edge-count ramps.
+# Each entry: values, order, then ar, ma, intercept, sigma2 and aicc as float.hex
+PINNED_FITS = {
+    "pa degree 1": (
+        (2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5),
+        (1, 0, 1),
+        ("0x1.c35edadc8970bp-1",),
+        ("-0x1.fae147ae124d9p-1",),
+        "0x1.50ac54bdfe738p-1", "0x1.7daef61b98b99p-4", "-0x1.4c7ae104ed6fap+4",
+    ),
+    "pa degree 2": (
+        (2, 2, 2, 3, 3, 4, 4, 5, 6, 6, 6, 6, 7, 7, 7),
+        (1, 0, 0),
+        ("0x1.e3de3de3de3dcp-1",),
+        (),
+        "0x1.357357357358bp-1", "0x1.c21c21c21c21bp-3", "-0x1.99fa1cb231febp+3",
+    ),
+    "pa degree 15": (
+        (10, 11, 12, 13, 14, 15, 16, 17, 17, 18, 18, 19, 20, 20, 21),
+        (1, 0, 1),
+        ("0x1.e199857b59d3bp-1",),
+        ("-0x1.fae147ae124dap-1",),
+        "0x1.b39a6e3caf483p+0", "0x1.0cc2f783787e3p-4", "-0x1.9b0d414432c32p+4",
+    ),
+    "pa degree 23": (
+        (10, 10, 11, 11, 11, 12, 12),
+        (0, 2, 0),
+        (),
+        (),
+        "0x0.0p+0", "0x1.999999999999ap-1", "0x1.1c4c0a467ebf6p+3",
+    ),
+    "pa degree 26": (
+        (10, 11, 12, 12),
+        (0, 0, 0),
+        (),
+        (),
+        "0x1.6800000000000p+3", "0x1.6000000000000p-1", "0x1.d00a0b884fd5cp+3",
+    ),
+    "deletion degree 0": (
+        (2, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 3, 2, 1, 1),
+        (0, 0, 1),
+        (),
+        ("0x1.4e5344fb3117bp-1",),
+        "0x1.d199f281c9083p+0", "0x1.b1e8c8db96b0dp-3", "-0x1.e309b15cec9f9p+3",
+    ),
+    "deletion degree 11": (
+        (3, 2, 2, 1, 1, 0, 0, 1, 2, 2, 1, 1, 1, 0, 0),
+        (0, 1, 0),
+        (),
+        (),
+        "-0x1.b6db6db6db6dbp-3", "0x1.d0fac687d6345p-2", "-0x1.7d8deae6f3553p+2",
+    ),
+    "deletion degree 13": (
+        (3, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1),
+        (1, 0, 1),
+        ("-0x1.4696e3216d9b6p-14",),
+        ("0x1.fae147ae124d9p-1",),
+        "0x1.249837519c19cp+0", "0x1.fa8830676fec6p-5", "-0x1.a85a981e53766p+4",
+    ),
+    "deletion edge count": (
+        (25, 25, 30, 34, 37, 37, 38, 38, 43, 48, 48, 50, 53, 53, 55),
+        (1, 0, 1),
+        ("0x1.f42e09f54cb9bp-1",),
+        ("-0x1.fae147ae124dap-1",),
+        "0x1.8c9f4333d8643p+1", "0x1.43417de267115p+1", "0x1.96a0b75c652a0p+4",
+    ),
+    "vertex-count ramp": (
+        (16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30),
+        (1, 0, 1),
+        ("0x1.fae147ae124d9p-1",),
+        ("0x1.807912fd118b1p-1",),
+        "0x1.382e28d5e7746p+0", "0x1.9314a989b59aep-11", "-0x1.5fc7770ef13edp+6",
+    ),
+    "edge-count ramp": (
+        (25, 35, 45, 55, 65, 75, 85, 95, 105, 115, 125, 135, 145, 155, 165),
+        (1, 0, 1),
+        ("0x1.fae147ae124d9p-1",),
+        ("0x1.805b8fa754b89p-1",),
+        "0x1.5b065ca17552ap+3", "0x1.3ae82179684f6p-4", "-0x1.778efd4a41b68p+4",
+    ),
+}
+
+# single cells, pinned with their 3-step forecast: the first two take the
+# Hannan-Rissanen fallback start (too few rows for the lagged-error
+# regression), the third its two-stage regression.  Each entry: values,
+# order, ar, ma, intercept, sigma2, aicc, forecast means, forecast std_errs
+PINNED_CELLS = [
+    (
+        (3, 4, 4, 5, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7),
+        (3, 0, 4),
+        ("0x1.12ccfdfc66f5ep-1", "-0x1.d4bcca7ae0df4p-3", "0x1.cb945c4bcc7fcp-3"),
+        ("0x1.e937417281065p-5", "0x1.c40c37247b05ap-5", "-0x1.b4a222f9c66adp-4",
+         "-0x1.ab42cb2df377dp-5"),
+        "0x1.60d505c68683ep+1", "0x1.fe1e106756789p-3", "0x1.6d47f33bba932p+6",
+        ("0x1.9ce3b3db632f1p+2", "0x1.87d8036b9fda1p+2", "0x1.83183abfb7fd2p+2"),
+        ("0x1.ff0ecf6487bf8p-2", "0x1.29873a31b15c1p-1", "0x1.2bdf268adefcap-1"),
+    ),
+    (
+        (10, 11, 11, 11, 12, 12, 13, 13, 13, 13),
+        (2, 1, 1),
+        ("-0x1.ffffffffffffdp-2", "-0x1.555555555554ep-3"),
+        ("0x0.0p+0",),
+        "0x1.ffffffffffffdp-2", "0x1.5555555555556p-3", "0x1.cba956146c900p+5",
+        ("0x1.b000000000000p+3", "0x1.b800000000000p+3", "0x1.c155555555555p+3"),
+        ("0x1.a20bd700c2c3ep-2", "0x1.d363d1848dcc0p-2", "0x1.079755d8e9c05p-1"),
+    ),
+    (
+        (10, 11, 12, 13, 14, 15, 16, 17, 17, 18, 18, 19, 20, 20, 21),
+        (2, 1, 2),
+        ("-0x1.1ccf0908b13adp-1", "-0x1.bc247d4ac2258p-2"),
+        ("0x1.f4bdf9f61e8ddp-2", "0x1.00824ab30306ap-1"),
+        "0x1.44f3bc4be9866p+1", "0x1.dd3e860ad076cp-2", "0x1.3a38075680e4fp+4",
+        ("0x1.62955fbe709fdp+4", "0x1.76e97badb8196p+4", "0x1.8c29a55155c72p+4"),
+        ("0x1.5d88e3b3bf10bp-1", "0x1.ddfb562cb4973p-1", "0x1.2bfb254fb1021p+0"),
+    ),
+]
+
+
+def hex_fit(fit):
+    return (
+        (fit.p, fit.d, fit.q),
+        tuple(map(float.hex, fit.ar_coeffs)),
+        tuple(map(float.hex, fit.ma_coeffs)),
+        fit.intercept.hex(), fit.sigma2.hex(), fit.aicc.hex(),
+    )
+
+
+class TestPinnedFits:
+    """Fits and forecasts pinned bit for bit: any change to the kernel's arithmetic fails here."""
+
+    @pytest.mark.parametrize("name", PINNED_FITS)
+    def test_auto_fit(self, name):
+        values, *pinned = PINNED_FITS[name]
+        ts.auto_fit.cache_clear()
+        assert hex_fit(ts.auto_fit(ts.Series(tuple(map(float, values))))) == tuple(pinned)
+
+    @pytest.mark.parametrize("cell", PINNED_CELLS, ids=lambda cell: "ARIMA%s" % (cell[1],))
+    def test_cell_and_its_forecast(self, cell):
+        values, order, *pinned, means, std_errs = cell
+        s = ts.Series(tuple(map(float, values)))
+        fit = ts.fit(s, *order)
+        assert hex_fit(fit) == (order, *pinned)
+        fc = ts.forecast(fit, s, 3)
+        assert tuple(map(float.hex, fc.means)) == means
+        assert tuple(map(float.hex, fc.std_errs)) == std_errs
