@@ -12,10 +12,8 @@ are its only stored form.
 
 Only the bounds depend on a sweep cell's u.  The row layout, the endpoint
 rows and the existing-edge mask come from the candidate graph, which builds
-each once; every degree series is built once per training series, and each
-distinct series is forecast once, at the longest horizon asked of it, a
-shorter horizon taking the prefix of that forecast
-(``timeseries.forecast_with_fallback``).
+each once; every degree series is built once per training series, and its
+forecasts are kept as ``timeseries.forecast_with_fallback`` keeps them.
 """
 
 from __future__ import annotations

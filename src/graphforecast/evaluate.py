@@ -88,9 +88,8 @@ def _evaluate(
     A window is (train, full, T): the prediction from ``train`` at horizon h
     and the last-seen baseline ``train.last`` are both scored against
     ``full.snapshot(T + h)``.  A window's horizons are predicted longest
-    first, so each of its count series is forecast once, and the shorter
-    horizons take prefixes of that forecast (``forecast_with_fallback``);
-    the reports keep the order of ``horizons``.
+    first, so the shorter ones take prefixes of each count series' forecast
+    (``forecast_with_fallback``); the reports keep the order of ``horizons``.
     """
     longest_first = sorted(range(len(horizons)), key=horizons.__getitem__, reverse=True)
     cells = []  # per window, per horizon: vertex, edge, baseline vertex, baseline edge

@@ -31,13 +31,16 @@ quantiles are the standard library's NormalDist.inv_cdf (Wichura's AS241).
 ``upper_bound`` turns a count series into its forecast quantile clamped at
 0, the one form every count forecast of the prediction takes.
 
-Each quantity is computed once per series, which hashes by value.
-``auto_fit`` is memoised by the series; within its search the d-differenced
-array is built once per (series, d) and the least-squares AR(p) fit solved
-once per (series, d, p).  ``forecast_with_fallback`` forecasts each count
-series once, at the longest horizon asked of it, and returns a shorter
-horizon as the prefix of that forecast, so a sweep's cells and a protocol's
-horizons fit and forecast each distinct series once.
+Two memos keep each quantity to one computation per series (by value).  The
+work object of the series fitted last (``_Work``) holds its differenced
+arrays, CSS equations and least-squares AR fits, each built once per (d, p)
+for ``fit``, ``auto_fit`` and ``forecast``; another series replaces it.
+``forecast_with_fallback`` keeps, for the latest _MODELS_KEPT series, each
+one's chosen model (None for the last-value carry) and longest forecast: a
+shorter horizon is its prefix, the h-step forecast bit for bit, and a longer
+one is forecast from the kept model without a new search.  So a sweep's
+cells, equal degree histories and a protocol's horizons search each distinct
+series once.  ``auto_fit`` itself keeps nothing.
 """
 
 from __future__ import annotations
@@ -156,14 +159,6 @@ def difference(series: Series, d: int) -> Series:
     return Series(tuple(vals))
 
 
-@lru_cache(maxsize=MAX_D + 1)  # every level one series' fits and forecast ask for
-def _differenced(series: Series, d: int) -> np.ndarray:
-    """difference(series, d) as a read-only float array, memoised by (series, d)."""
-    w = np.asarray(difference(series, d).values, dtype=float)
-    w.flags.writeable = False
-    return w
-
-
 def _regressors(w: np.ndarray, p: int) -> np.ndarray:
     """The CSS equations of w as columns [y, 1, w_{t-1}, ..., w_{t-p}] over t = p..n-1."""
     n = len(w)
@@ -185,22 +180,52 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.lstsq(A, b[:, None], rcond, signature="ddd->ddid")[0][:, 0]
 
 
-@lru_cache(maxsize=MAX_P + MAX_Q + 1)  # every AR order one search can ask for
-def _ols_ar_fit(series: Series, d: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares fit of w_t on an intercept and p lags, with its residuals
-    over t = p..n-1, for w the d-differenced series; the exact CSS optimum for
-    q=0.  Memoised by (series, d, p): the (p, 0) cell, the RSS floor of the
-    (p, q) cells and the Hannan-Rissanen start share one solve."""
-    w = _differenced(series, d)
-    if p == 0:
+def _ols_ar_fit(w: np.ndarray, yX: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit of w_t on an intercept and p lags, from its CSS equations yX (None
+    for p = 0: the mean), with its residuals over t = p..n-1; the exact CSS optimum for q=0."""
+    if yX is None:
         c = float(np.mean(w))
-        beta, resid = np.array([c]), w - c
-    else:
-        yX = _regressors(w, p)
-        beta = _lstsq(yX[:, 1:], yX[:, 0])
-        resid = yX[:, 0] - yX[:, 1:] @ beta
-    beta.flags.writeable = resid.flags.writeable = False
-    return beta, resid
+        return np.array([c]), w - c
+    beta = _lstsq(yX[:, 1:], yX[:, 0])
+    return beta, yX[:, 0] - yX[:, 1:] @ beta
+
+
+class _Work:
+    """One series' d-differenced arrays, CSS equations and least-squares AR
+    fits, by (d, p), each built once and read-only."""
+
+    def __init__(self, series: Series):
+        self.series, self._w, self._yX, self._ar = series, {}, {}, {}
+
+    def w(self, d: int) -> np.ndarray:
+        if d not in self._w:
+            self._w[d] = np.asarray(difference(self.series, d).values, dtype=float)
+            self._w[d].flags.writeable = False
+        return self._w[d]
+
+    def equations(self, d: int, p: int) -> np.ndarray:
+        if (d, p) not in self._yX:
+            self._yX[d, p] = _regressors(self.w(d), p)
+            self._yX[d, p].flags.writeable = False
+        return self._yX[d, p]
+
+    def ar_fit(self, d: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+        if (d, p) not in self._ar:
+            yX = self.equations(d, p) if p else None
+            beta, resid = self._ar[d, p] = _ols_ar_fit(self.w(d), yX)
+            beta.flags.writeable = resid.flags.writeable = False
+        return self._ar[d, p]
+
+
+_held: _Work | None = None  # the work object of the series fitted last
+
+
+def _work(series: Series) -> _Work:
+    """The held work object if it is series', else a new one that replaces it."""
+    global _held
+    if _held is None or _held.series != series:
+        _held = _Work(series)
+    return _held
 
 
 def _project_region(params: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -214,18 +239,17 @@ def _project_region(params: np.ndarray, p: int, q: int) -> np.ndarray:
     return out
 
 
-def _hannan_rissanen_start(series: Series, d: int, p: int, q: int) -> np.ndarray:
+def _hannan_rissanen_start(work: _Work, d: int, p: int, q: int) -> np.ndarray:
     """Two-stage regression start on the d-differenced series: residuals of a
     long AR feed a lagged-error fit."""
-    w = _differenced(series, d)
-    n = len(w)
+    n = len(work.w(d))
     L = min(max(p + q, 2), max((n - 1) // 2, 1))
     m = max(p, q) + L
     if n - m < p + q + 2:
-        return np.concatenate([_ols_ar_fit(series, d, p)[0], np.zeros(q)])
+        return np.concatenate([work.ar_fit(d, p)[0], np.zeros(q)])
     e = np.zeros(n)
-    e[L:] = _ols_ar_fit(series, d, L)[1]
-    yX = _regressors(w, p)[m - p :]
+    e[L:] = work.ar_fit(d, L)[1]
+    yX = work.equations(d, p)[m - p :]
     X = np.hstack([yX[:, 1:], _regressors(e, q)[m - q :, 2:]])
     return _lstsq(X, yX[:, 0])
 
@@ -353,15 +377,14 @@ def _damped_step(M: np.ndarray, g: np.ndarray, params: np.ndarray, blocks) -> np
     return np.zeros_like(g)  # M is singular: rejected like any step that does not lower the RSS
 
 
-def _lm_fit(w: np.ndarray, p: int, q: int, params: np.ndarray):
-    """Levenberg-Marquardt CSS fit of one cell from a start inside the region.
+def _lm_fit(yX: np.ndarray, p: int, q: int, params: np.ndarray):
+    """Levenberg-Marquardt CSS fit of one cell on its CSS equations yX, from a start in the region.
 
     The damping follows the gain ratio of actual to predicted RSS reduction
     (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares
     Problems, 2004, section 3.2).  Stops when an accepted step lowers the RSS
     by less than _RSS_TOL * (1 + RSS), or when no damping lowers it at all.
     """
-    yX = _regressors(w, p)
     blocks = [b for b in (slice(1, 1 + p), slice(1 + p, 1 + p + q)) if b.stop > b.start]
     e, L, LinvX = _css_residuals(yX, params, q)
     rss = float(e @ e)
@@ -416,17 +439,17 @@ def fit(series: Series, p: int, d: int, q: int) -> ArimaFit:
         raise ValueError(
             f"series of length {n} is too short for ARIMA({p},{d},{q}); need >= {p + q + d + 3}"
         )
-    w = _differenced(series, d)
+    work = _work(series)
     if q == 0:
-        params, resid = _ols_ar_fit(series, d, p)
+        params, resid = work.ar_fit(d, p)
         rss = float(resid @ resid)
         start = _project_region(params, p, q)
         if not np.array_equal(start, params):
-            params, rss = _lm_fit(w, p, q, start)
+            params, rss = _lm_fit(work.equations(d, p), p, q, start)
     else:
-        start = _hannan_rissanen_start(series, d, p, q)
-        params, rss = _lm_fit(w, p, q, _project_region(start, p, q))
-    n_eff = len(w) - p
+        start = _hannan_rissanen_start(work, d, p, q)
+        params, rss = _lm_fit(work.equations(d, p), p, q, _project_region(start, p, q))
+    n_eff = n - d - p
     sigma2 = rss / n_eff
     return ArimaFit(
         p=p,
@@ -457,21 +480,18 @@ def _kpss(w: np.ndarray) -> float:
     return float(s @ s / (n * lrv))
 
 
-def _kpss_d(values: tuple[float, ...]) -> int:
+def _kpss_d(work: _Work) -> int:
     """Differences taken while KPSS rejects level stationarity at 5%.
 
     Stops at MAX_D, at a constant series, and at n - 4 differences, past which
     no cell's AICc is defined.
     """
-    w = np.asarray(values, dtype=float)
-    d = 0
-    while d < min(MAX_D, len(values) - 4) and np.ptp(w) > 0 and _kpss(w) > _KPSS_CRITICAL:
-        w = np.diff(w)
+    d, n = 0, len(work.series)
+    while d < min(MAX_D, n - 4) and np.ptp(w := work.w(d)) > 0 and _kpss(w) > _KPSS_CRITICAL:
         d += 1
     return d
 
 
-@lru_cache(maxsize=8192)
 def auto_fit(series: Series) -> ArimaFit:
     """Select an ARIMA order as auto.arima does and return its fit.
 
@@ -484,27 +504,25 @@ def auto_fit(series: Series) -> ArimaFit:
     A cell with q >= 1 is not fitted when its AICc at the RSS floor
     RSS_AR(p) / 4 is above the least AICc fitted so far (see the module
     docstring): its key could only be above the best one.  RSS_AR(p) is the
-    RSS of ``_ols_ar_fit`` on the cell's own differenced series and rows, so
-    the floor holds at any d, and with any column added to X that the AR fit
-    takes too, such as a drift term.  It is asked for only when a q >= 1
-    cell is reached, and the search solves each AR(p) once: the (p, 0) cell,
-    the floor and the Hannan-Rissanen starts share the memoised solve.  The
-    floor is used only above the rounding level, RSS_AR(p) > _RSS_TOL * (w . w), since an exact AR fit
-    leaves rounding residuals that a cell's RSS can fall below.  The cells
+    RSS of the work object's AR fit on the cell's own differenced series and
+    rows, so the floor holds at any d, and with any column added to X that
+    the AR fit takes too, such as a drift term.  It is asked for only when a
+    q >= 1 cell is reached, and used only above the rounding level,
+    RSS_AR(p) > _RSS_TOL * (w . w), since an exact AR fit leaves rounding
+    residuals that a cell's RSS can fall below.  The cells
     are tried in order of q, (0,0), (1,0), (0,1), (2,2) first and then the
     neighbours from q - 1 to q + 1, so that the floor has a least AICc to
     beat; the minimum over distinct keys is the same in any order.  The
-    cells fitted and left out are logged at DEBUG.  The fit is memoised by
-    the series' values.
+    cells fitted and left out are logged at DEBUG.
     """
     if len(series) < 4:
         raise ValueError(f"auto_fit needs at least 4 observations, got {len(series)}")
-    values = series.values
-    if len(set(values)) == 1:
+    if len(set(series.values)) == 1:
         # Every cell fits a constant series exactly, and (0,0,0), with the
         # fewest parameters, has the least AICc.
         return fit(series, 0, 0, 0)
-    n, d = len(series), _kpss_d(values)
+    work = _work(series)
+    n, d = len(series), _kpss_d(work)
     fits: dict[tuple[int, int], ArimaFit | None] = {}
     fitted: list[tuple[int, int]] = []
     left_out: list[tuple[int, int]] = []
@@ -512,7 +530,7 @@ def auto_fit(series: Series) -> ArimaFit:
 
     def rss_floor(p: int) -> float:
         """RSS_AR(p) / 4, under the RSS of every cell (p, q); 0 where RSS_AR(p) is rounding."""
-        w, resid = _differenced(series, d), _ols_ar_fit(series, d, p)[1]
+        w, resid = work.w(d), work.ar_fit(d, p)[1]
         rss = float(resid @ resid)
         return rss / 4.0 if rss > _RSS_TOL * float(w @ w) else 0.0
 
@@ -578,10 +596,11 @@ def forecast(fit_: ArimaFit, series: Series, h: int) -> Forecast:
         raise ValueError("forecast horizon must be >= 1")
     p, q, c = fit_.p, fit_.q, fit_.intercept
     ar, ma = fit_.ar_coeffs, fit_.ma_coeffs
-    w = _differenced(series, fit_.d)
+    work = _work(series)
+    w = work.w(fit_.d)
     n = len(w)
     e = np.zeros(n)
-    e[p:] = _css_residuals(_regressors(w, p), np.array([c, *ar, *ma]), q)[0]
+    e[p:] = _css_residuals(work.equations(fit_.d, p), np.array([c, *ar, *ma]), q)[0]
     wext, eext = w.tolist(), e.tolist()
     for _ in range(h):
         t = len(wext)
@@ -597,7 +616,7 @@ def forecast(fit_: ArimaFit, series: Series, h: int) -> Forecast:
     fc = wext[n:]
     for level in range(fit_.d - 1, -1, -1):
         # a running sum from the level's last value, added left to right
-        fc = list(accumulate(fc, initial=float(_differenced(series, level)[-1])))[1:]
+        fc = list(accumulate(fc, initial=float(work.w(level)[-1])))[1:]
     psi = _psi_weights(fit_, h)
     variances = fit_.sigma2 * np.cumsum(psi * psi)
     std_errs = np.sqrt(np.maximum(variances, 0.0))
@@ -613,18 +632,10 @@ def quantile(forecast_: Forecast, step: int, q: float) -> float:
     return forecast_.means[step - 1] + _STANDARD_NORMAL.inv_cdf(q) * forecast_.std_errs[step - 1]
 
 
-# the longest forecast made of each count series, oldest series first
-_longest: dict[Series, Forecast] = {}
-_LONGEST_KEPT = 8192
-
-
-def _forecast_or_carry(series: Series, h: int) -> Forecast:
-    """The h-step forecast of auto_fit's model, or a last-value carry for series shorter than 4."""
-    if len(series) >= 4:
-        return forecast(auto_fit(series), series, h)
-    vals = np.asarray(series.values, dtype=float)
-    sd = float(np.std(vals, ddof=1)) if len(vals) >= 2 else 0.0
-    return Forecast((float(vals[-1]),) * h, (sd,) * h)
+# each count series' chosen fit (None for the last-value carry) and its longest
+# forecast, oldest series first
+_models: dict[Series, tuple[ArimaFit | None, Forecast]] = {}
+_MODELS_KEPT = 8192
 
 
 def forecast_with_fallback(series: Series, h: int) -> Forecast:
@@ -632,22 +643,25 @@ def forecast_with_fallback(series: Series, h: int) -> Forecast:
 
     The fallback uses the last observation as the mean at every step and the
     sample standard deviation (0 for a single point) as the spread, so young
-    vertices with brief histories never fail the pipeline.  Each series is
-    forecast once, at the longest horizon asked of it so far: a shorter
-    horizon is the first h steps of that forecast, which are the h-step
-    forecast bit for bit (the ARMA recursion, the integration and the psi
-    weights all run step by step).  So a sweep's cells, vertices with equal
-    degree histories, and a protocol that asks its longest horizon first
-    forecast each distinct series once.  The memo holds the latest
-    _LONGEST_KEPT series.
+    vertices with brief histories never fail the pipeline.  The model of each
+    series and its longest forecast are kept as the module docstring states.
     """
     if h < 1:
         raise ValueError("forecast horizon must be >= 1")
-    longest = _longest.get(series)
+    model = _models.get(series)
+    if model is None:
+        if len(_models) == _MODELS_KEPT:
+            del _models[next(iter(_models))]
+        model = (auto_fit(series) if len(series) >= 4 else None), None
+    fit_, longest = model
     if longest is None or longest.horizon < h:
-        if longest is None and len(_longest) == _LONGEST_KEPT:
-            del _longest[next(iter(_longest))]
-        longest = _longest[series] = _forecast_or_carry(series, h)
+        if fit_ is not None:
+            longest = forecast(fit_, series, h)
+        else:
+            vals = np.asarray(series.values, dtype=float)
+            sd = float(np.std(vals, ddof=1)) if len(vals) >= 2 else 0.0
+            longest = Forecast((float(vals[-1]),) * h, (sd,) * h)
+        _models[series] = fit_, longest
     if longest.horizon == h:
         return longest
     return Forecast(longest.means[:h], longest.std_errs[:h])

@@ -198,7 +198,7 @@ class TestForecastOnce:
 
         monkeypatch.setattr(timeseries, "forecast_with_fallback", asking)
         monkeypatch.setattr(timeseries, "forecast", counting)
-        timeseries._longest.clear()
+        timeseries._models.clear()
         tiny_synthetic(experiment=2, runs=1, T=8, horizons=(1, 2, 3, 4, 5),
                        s=3, s0=8, schedule=(10, 3, 2))
         long_enough = {s for s in asked if len(s) >= 4}

@@ -215,7 +215,7 @@ class TestPredictDistribution:
         grid = predict_distribution(series, [0.2, 0.5, 0.8], [0.5, 0.8, 0.95])
         model = solver.LpModel()
         for cell in grid:
-            timeseries._longest.clear()
+            timeseries._models.clear()
             candidates.homophily_candidates.cache_clear()
             candidates._hypothetical.cache_clear()
             fresh = GraphSeries(list(series))  # without the degree series built so far

@@ -98,6 +98,19 @@ def forecast_reference(fit_, series, h):
     return ts.Forecast(tuple(fc), tuple(float(s) for s in std_errs))
 
 
+def cold(call, *args):
+    """call(*args) as in a fresh process: no work object held and no model kept."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ts, "_held", None)
+        mp.setattr(ts, "_models", {})
+        return call(*args)
+
+
+def kpss_d(values):
+    """The number of differences KPSS asks for on values."""
+    return ts._kpss_d(ts._Work(ts.Series(tuple(map(float, values)))))
+
+
 def step_limit_reference(x, dx):
     """The step limit on numpy arrays, as the bit-for-bit oracle for the Python-float kernel."""
     t0, f0 = 0.0, float(np.abs(x).sum())
@@ -376,7 +389,7 @@ class TestFitRegion:
         assert sum(abs(v) for v in fit.ar_coeffs) <= 0.99
         assert sum(abs(v) for v in fit.ma_coeffs) <= 0.99
         w = np.asarray(ts.difference(series, d).values)
-        start = ts._project_region(ts._hannan_rissanen_start(series, d, p, q), p, q)
+        start = ts._project_region(ts._hannan_rissanen_start(ts._Work(series), d, p, q), p, q)
         start_rss = css_rss_reference(w.tolist(), p, q, start.tolist())
         assert fit.sigma2 * (len(w) - p) <= start_rss * (1 + 1e-12) + 1e-12
 
@@ -451,7 +464,7 @@ def stepwise_reference(values, record=None):
     n = len(s)
     if len(set(values)) == 1:
         return ts.fit(s, 0, 0, 0)
-    d = ts._kpss_d(values)
+    d = kpss_d(values)
     fits = {}
 
     def key(cell):
@@ -479,7 +492,7 @@ def stepwise_reference(values, record=None):
 
 def rss_ar(values, p, d):
     """RSS of the least-squares AR(p) fit on the d-differenced series."""
-    resid = ts._ols_ar_fit(ts.Series(values), d, p)[1]
+    resid = ts._Work(ts.Series(values)).ar_fit(d, p)[1]
     return float(resid @ resid)
 
 
@@ -492,13 +505,23 @@ def fitted_cells(monkeypatch, values):
         return fit(series, p, d, q)
 
     monkeypatch.setattr(ts, "fit", recording)
-    ts.auto_fit.cache_clear()
     try:
-        ts.auto_fit(ts.Series(values))
+        cold(ts.auto_fit, ts.Series(values))
     finally:
-        ts.auto_fit.cache_clear()
         monkeypatch.setattr(ts, "fit", fit)
     return cells
+
+
+def ar_solves(monkeypatch, n):
+    """The (d, p) of each least-squares AR fit solved from now on, on series of length n."""
+    solved, ols = [], ts._ols_ar_fit
+
+    def solving(w, yX):
+        solved.append((n - len(w), 0 if yX is None else yX.shape[1] - 2))
+        return ols(w, yX)
+
+    monkeypatch.setattr(ts, "_ols_ar_fit", solving)
+    return solved
 
 
 # a degree series of the predict-pa benchmark input (seed 1, round 0), on
@@ -508,19 +531,19 @@ PRUNED_SERIES = tuple(map(float, (10, 11, 12, 13, 14, 14, 15, 16, 16, 17, 18, 19
 
 class TestKpss:
     def test_constant_needs_no_difference(self):
-        assert ts._kpss_d((7.0,) * 20) == 0
+        assert kpss_d((7.0,) * 20) == 0
 
     def test_ramp_needs_one_difference(self):
         ramp = np.arange(1.0, 51.0)
         assert ts._kpss(ramp) > ts._KPSS_CRITICAL
-        assert ts._kpss_d(tuple(ramp)) == 1
+        assert kpss_d(ramp) == 1
 
     def test_white_noise_statistic(self):
         # the series of test_white_noise_stays_parsimonious; the shorter lag
         # trunc(4 (n/100)^(1/4)) gives 0.482 here and rejects
         w = np.random.default_rng(5).standard_normal(200)
         assert ts._kpss(w) == pytest.approx(0.3624, abs=1e-4)
-        assert ts._kpss_d(tuple(w)) == 0
+        assert kpss_d(w) == 0
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=40).filter(lambda v: np.ptp(v) > 1e-3))
@@ -598,7 +621,6 @@ class TestAutoFit:
     def test_skipped_cell_is_reported(self, monkeypatch, caplog):
         values = ar1_series(0.7, 40, 0)
         s = ts.Series(tuple(map(float, values)))
-        ts.auto_fit.cache_clear()
         best = ts.auto_fit(s)
         assert (best.p, best.d, best.q) == (1, 0, 0)
         fit = ts.fit
@@ -609,16 +631,12 @@ class TestAutoFit:
             return fit(series, p, d, q)
 
         monkeypatch.setattr(ts, "fit", fit_failing_at_best)
-        ts.auto_fit.cache_clear()
-        try:
-            chosen = ts.auto_fit(s)
-            # the search goes on without the cell, to the best cell that remains
-            assert (chosen.p, chosen.d, chosen.q) != (1, 0, 0)
-            assert_stepwise_selection(values)
-        finally:
-            ts.auto_fit.cache_clear()
+        chosen = ts.auto_fit(s)
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings == ["skipped ARIMA(1,0,0), which did not converge on a series of length 40"]
+        # the search goes on without the cell, to the best cell that remains
+        assert (chosen.p, chosen.d, chosen.q) != (1, 0, 0)
+        assert_stepwise_selection(values)
 
 
 class TestOrderBound:
@@ -652,7 +670,7 @@ class TestOrderBound:
         # _RSS_TOL * (w . w).  The selected cell's RSS rounds to 0, below a
         # quarter of it: a bound applied here would leave that cell out
         values = (0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0)
-        assert ts._kpss_d(values) == 0
+        assert kpss_d(values) == 0
         w = np.asarray(values)
         assert 0.0 < rss_ar(values, 1, 0) <= ts._RSS_TOL * (w @ w)
         chosen = ts.auto_fit(ts.Series(values))
@@ -671,39 +689,44 @@ class TestOrderBound:
     def test_a_search_without_ma_cells_builds_no_bound(self, values, monkeypatch):
         # sweep-short's 4- and 5-point series admit no cell with q >= 1, so the
         # only AR fits are those of the q = 0 cells themselves
-        calls, ols = [], ts._ols_ar_fit
-
-        def counting(series, d, p):
-            calls.append(p)
-            return ols(series, d, p)
-
-        monkeypatch.setattr(ts, "_ols_ar_fit", counting)
+        solved = ar_solves(monkeypatch, len(values))
         cells = fitted_cells(monkeypatch, tuple(map(float, values)))
         assert all(q == 0 for _, q in cells)
-        assert calls == [p for p, _ in cells]
+        assert [p for _, p in solved] == [p for p, _ in cells]
 
     def test_each_ar_order_is_solved_once_per_search(self, monkeypatch):
-        # the (p, 0) cells, the RSS floors of the (p, q) cells and the
-        # Hannan-Rissanen starts ask for the same AR fits; each is solved once
-        asked, ols = [], ts._ols_ar_fit
+        # the (p, 0) cells ask for AR(0), AR(1) and AR(2); the RSS floor of
+        # (1, 1) asks for AR(1) again and its Hannan-Rissanen start for the
+        # long AR(2): five asks, each fit solved once
+        solved = ar_solves(monkeypatch, len(PRUNED_SERIES))
+        assert fitted_cells(monkeypatch, PRUNED_SERIES) == [(0, 0), (1, 0), (2, 0), (1, 1)]
+        assert sorted(solved) == [(0, 0), (0, 1), (0, 2)]
 
-        def asking(series, d, p):
-            asked.append(p)
-            return ols(series, d, p)
+    def test_each_equation_is_built_once_per_search(self, monkeypatch):
+        # the cells, the AR fits, the Hannan-Rissanen starts and the forecast
+        # of a (d, p) share the CSS equations of the d-differenced series
+        s, built, regressors = ts.Series(PRUNED_SERIES), [], ts._regressors
+        levels = [ts.difference(s, d).values for d in range(ts.MAX_D + 1)]
 
-        monkeypatch.setattr(ts, "_ols_ar_fit", asking)
-        ols.cache_clear()
-        fitted_cells(monkeypatch, PRUNED_SERIES)
-        assert ols.cache_info().misses == len(set(asked)) < len(asked)
+        def building(w, p):
+            if tuple(w) in levels:
+                built.append((levels.index(tuple(w)), p))
+            return regressors(w, p)
+
+        monkeypatch.setattr(ts, "_regressors", building)
+        # cells (0, 0), (1, 0), (2, 0) and (1, 1): the mean needs no equations,
+        # and the start of (1, 1) takes the residuals of the AR(2) fit
+        assert fitted_cells(monkeypatch, PRUNED_SERIES) == [(0, 0), (1, 0), (2, 0), (1, 1)]
+        assert sorted(built) == [(0, 1), (0, 2)]
+        built.clear()
+        cold(ts.forecast_with_fallback, s, 5)  # the search, then the forecast of ARIMA(1,0,1)
+        assert sorted(built) == [(0, 1), (0, 2)]
 
     def test_the_search_is_logged_once_per_series(self, caplog):
         caplog.set_level(logging.DEBUG, logger=ts.__name__)
-        ts.auto_fit.cache_clear()
-        try:
-            ts.auto_fit(ts.Series(PRUNED_SERIES))
-            ts.auto_fit(ts.Series(PRUNED_SERIES))  # memoised: no second search
-        finally:
-            ts.auto_fit.cache_clear()
+        s = ts.Series(PRUNED_SERIES)
+        # the kept model forecasts the longer horizon: no second search
+        cold(lambda: [ts.forecast_with_fallback(s, h) for h in (1, 3)])
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         assert debug == [
             "ARIMA search at d=0 on a series of length 12 fitted (p, q) "
@@ -864,14 +887,12 @@ class TestFallback:
     def test_cached_forecast_equals_a_fresh_one(self, values, h):
         s = ts.Series(tuple(values))
         first = ts.forecast_with_fallback(s, h)
-        # an equal series, not the same object, finds the memoised forecast,
-        # with nothing left to compute it
-        compute, ts._forecast_or_carry = ts._forecast_or_carry, None
-        try:
+        # an equal series, not the same object, finds the kept forecast, with
+        # no search and no forecast left to make
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ts, "auto_fit", None)
+            mp.setattr(ts, "forecast", None)
             assert ts.forecast_with_fallback(ts.Series(tuple(values)), h) == first
-        finally:
-            ts._forecast_or_carry = compute
-        assert ts.auto_fit(ts.Series(tuple(values))) is ts.auto_fit(s)
         assert first == ts.forecast(ts.auto_fit(s), s, h)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -881,9 +902,10 @@ class TestFallback:
         st.integers(1, 5),
     )
     def test_a_forecast_is_the_prefix_of_a_longer_one(self, values, h, extra):
-        # the short-series fallback included; the memo is bypassed, so both are computed
-        forecast, s = ts._forecast_or_carry, ts.Series(tuple(values))
-        short, longer = forecast(s, h), forecast(s, h + extra)
+        # the short-series fallback included; each is made from cold, so both are computed
+        s = ts.Series(tuple(values))
+        short = cold(ts.forecast_with_fallback, s, h)
+        longer = cold(ts.forecast_with_fallback, s, h + extra)
         assert short.means == longer.means[:h]
         assert short.std_errs == longer.std_errs[:h]
 
@@ -894,14 +916,69 @@ class TestFallback:
         st.integers(1, 5),
     )
     def test_a_shorter_horizon_asked_later_is_the_prefix(self, values, h, extra):
-        ts._longest.clear()
         s = ts.Series(tuple(values))
-        longer = ts.forecast_with_fallback(s, h + extra)
-        shorter = ts.forecast_with_fallback(ts.Series(tuple(values)), h)
+
+        def in_turn():
+            asked = (h + extra, h, h + extra + 1)
+            return [ts.forecast_with_fallback(ts.Series(tuple(values)), k) for k in asked]
+
+        longer, shorter, longest = cold(in_turn)
         assert (shorter.means, shorter.std_errs) == (longer.means[:h], longer.std_errs[:h])
-        assert shorter == ts._forecast_or_carry(s, h)
-        # a longer horizon than any asked so far is forecast afresh
-        assert ts.forecast_with_fallback(s, h + extra + 1) == ts._forecast_or_carry(s, h + extra + 1)
+        assert shorter == cold(ts.forecast_with_fallback, s, h)
+        # a longer horizon than any asked so far is forecast again from the kept model
+        assert longest == cold(ts.forecast_with_fallback, s, h + extra + 1)
+
+    def test_a_longer_horizon_asked_later_runs_one_search(self, monkeypatch):
+        searched, auto_fit = [], ts.auto_fit
+
+        def searching(series):
+            searched.append(series)
+            return auto_fit(series)
+
+        monkeypatch.setattr(ts, "auto_fit", searching)
+        s = ts.Series(PRUNED_SERIES)
+        short, longer = cold(lambda: [ts.forecast_with_fallback(s, h) for h in (2, 5)])
+        assert searched == [s]
+        assert longer == ts.forecast(auto_fit(s), s, 5)
+        assert (short.means, short.std_errs) == (longer.means[:2], longer.std_errs[:2])
+
+
+@st.composite
+def interleaved_calls(draw):
+    """2-3 count series of length 1-15 and 2-8 calls of fit, auto_fit and
+    forecast_with_fallback on them, in a drawn order: (name, series index, args)."""
+    values = st.lists(st.integers(0, 30).map(float), min_size=1, max_size=15)
+    series = [ts.Series(tuple(v)) for v in draw(st.lists(values, min_size=2, max_size=3))]
+    index = st.integers(0, len(series) - 1)
+    order = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2))
+    call = st.one_of(
+        st.tuples(st.just("fit"), index, order),
+        st.tuples(st.just("auto_fit"), index, st.just(())),
+        st.tuples(st.just("forecast_with_fallback"), index, st.integers(1, 5).map(lambda h: (h,))),
+    )
+    return series, draw(st.lists(call, min_size=2, max_size=8))
+
+
+def outcome(name, series, args):
+    """ts.<name>(series, *args) as float.hex strings, or the error it raises."""
+    try:
+        result = getattr(ts, name)(series, *args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, ts.ArimaFit):
+        return hex_fit(result)
+    return tuple(map(float.hex, result.means)), tuple(map(float.hex, result.std_errs))
+
+
+class TestMemos:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(interleaved_calls())
+    def test_interleaved_calls_equal_cold_ones(self, problem):
+        # the work object is held for one series at a time and the models are
+        # kept by series: neither may hand one series' arrays or model to another
+        series, calls = problem
+        warm = cold(lambda: [outcome(name, series[i], args) for name, i, args in calls])
+        assert warm == [cold(outcome, name, series[i], args) for name, i, args in calls]
 
 
 # auto_fit's selection on seeded series: the degree series of vertices 1, 2,
@@ -1041,7 +1118,6 @@ class TestPinnedFits:
     @pytest.mark.parametrize("name", PINNED_FITS)
     def test_auto_fit(self, name):
         values, *pinned = PINNED_FITS[name]
-        ts.auto_fit.cache_clear()
         assert hex_fit(ts.auto_fit(ts.Series(tuple(map(float, values))))) == tuple(pinned)
 
     @pytest.mark.parametrize("cell", PINNED_CELLS, ids=lambda cell: "ARIMA%s" % (cell[1],))
